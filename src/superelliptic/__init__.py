@@ -42,7 +42,14 @@ from .dihedral import (
     reconstruct,
     roundtrip_verify,
 )
-from .equations import EquationSyntaxError, parse_equation, render_equation, render_polynomial
+from .equations import (
+    MAX_DEGREE,
+    EquationSyntaxError,
+    InputTooLargeError,
+    parse_equation,
+    render_equation,
+    render_polynomial,
+)
 from .exact import (
     FactorBoundExceededError,
     QuadExt,
@@ -68,6 +75,8 @@ __all__ = [
     "FactorBoundExceededError",
     "FieldReport",
     "G_DELTA",
+    "InputTooLargeError",
+    "MAX_DEGREE",
     "NoExtraAutomorphismError",
     "NormalForm",
     "Poly",

@@ -34,7 +34,7 @@ from .dihedral import (
     reconstruct,
     roundtrip_verify,
 )
-from .equations import EquationSyntaxError, parse_equation, render_equation
+from .equations import EquationSyntaxError, InputTooLargeError, parse_equation, render_equation
 from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
@@ -92,6 +92,7 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 
 _ERROR_CODES = (
+    (InputTooLargeError, "input_too_large"),
     (EquationSyntaxError, "syntax_error"),
     (CurveValidationError, "invalid_curve"),
     (NoExtraAutomorphismError, "no_extra_automorphism"),
@@ -119,13 +120,34 @@ def _error_doc(command: str, exc: Exception) -> dict:
 
 
 def _stdin_doc() -> dict:
-    doc = json.load(sys.stdin)
+    try:
+        doc = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("stdin JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("stdin JSON must be an object")
     return doc
 
 
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _stdin_value(doc: dict, key: str, *kinds: type):
+    """doc[key], refused unless its JSON type is one of ``kinds``.
+
+    The test is on the exact type, so true/false are not integers and 2.0 is
+    not one either: nothing is coerced.
+    """
+    value = doc[key]
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
+        raise ValueError(f'stdin JSON "{key}" must be {expected}, got {json.dumps(value)}')
+    return value
+
+
 def _parse_rational(text) -> Fraction:
+    if type(text) not in (str, int):
+        raise ValueError(f"not an exact rational: {text!r}")
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -161,9 +183,9 @@ def _equation_input(args) -> tuple[str, int | None]:
         doc = _stdin_doc()
         if "equation" not in doc:
             raise ValueError('stdin JSON needs an "equation" key')
-        equation = str(doc["equation"])
+        equation = _stdin_value(doc, "equation", str)
         if delta is None and "delta" in doc:
-            delta = int(doc["delta"])
+            delta = _stdin_value(doc, "delta", int)
     return equation, delta
 
 
@@ -176,13 +198,13 @@ def _invariants_input(args) -> tuple[DihedralInvariants, str]:
     if args.source == "-":
         doc = _stdin_doc()
         if values is None and "invariants" in doc:
-            values = doc["invariants"]
+            values = _stdin_value(doc, "invariants", str, list)
         if n is None and "n" in doc:
-            n = int(doc["n"])
+            n = _stdin_value(doc, "n", int)
         if delta is None and "delta" in doc:
-            delta = int(doc["delta"])
+            delta = _stdin_value(doc, "delta", int)
         if root is None and "root" in doc:
-            root = str(doc["root"])
+            root = _stdin_value(doc, "root", str)
     elif args.source is not None:
         raise ValueError(f"unexpected positional argument {args.source!r}; only '-' is allowed")
     if values is None:

@@ -182,7 +182,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
                     "pins it to 1 and no x-rescale can change it"
                 ),
             )
-        a = tuple(f.coefficient(best.delta * i) for i in range(1, best.s + 1))
+        a = tuple([f.coefficient(best.delta * i) for i in range(1, best.s + 1)])
         return NormalForm(G_DELTA, best.delta, best.s, a, r)
     if f.leading_coefficient() != 1 or f.coefficient(1) != 1:
         return NormalForm(

@@ -78,7 +78,7 @@ class DihedralInvariants:
             raise ValueError(f"the exponent n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.delta, int) or isinstance(self.delta, bool) or self.delta < 2:
             raise ValueError(f"delta must be an integer >= 2, got {self.delta!r}")
-        object.__setattr__(self, "values", tuple(_exact(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([_exact(v) for v in self.values]))
 
     @property
     def s(self) -> int:
@@ -91,15 +91,15 @@ def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
     One formula covers every index: for i = 1 it degenerates to
     a_1**(s+1) + a_s**(s+1) and for i = s to 2*a_1*a_s.
     """
-    a = tuple(_exact(v) for v in a)
+    a = tuple([_exact(v) for v in a])
     s = len(a)
     if s < 2:
         raise ValueError(f"need at least 2 interior coefficients, got {s}")
     first, last = a[0], a[-1]
-    values = tuple(
+    values = tuple([
         first ** (s + 1 - i) * a[i - 1] + last ** (s + 1 - i) * a[s - i]
         for i in range(1, s + 1)
-    )
+    ])
     return DihedralInvariants(values, n, delta)
 
 

@@ -3,7 +3,8 @@
 The accepted form is ``y^N = POLY`` where POLY is a sum of terms
 ``[COEF][*]x[^EXP]`` plus optional constants; COEF is an integer or a
 rational ``p/q``; whitespace is ignored everywhere; ``-`` binds to the term
-that follows it.  Examples:
+that follows it.  An exponent of x above ``MAX_DEGREE`` is refused with
+:class:`InputTooLargeError` before any polynomial is built.  Examples:
 
     y^2 = x^6 + 2x^4 + 3x^2 + 1
     y^3 = x^7 + 5*x^4 + x
@@ -25,12 +26,21 @@ from .exact import QuadExt
 from .poly import Poly
 
 
+#: Largest exponent of x the parser accepts.  Polynomials are stored dense,
+#: so a term x^e costs e + 1 coefficients before any check can run.
+MAX_DEGREE = 10_000
+
+
 class EquationSyntaxError(ValueError):
     """Bad equation text; ``position`` is the 0-based offset of the problem."""
 
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
+
+
+class InputTooLargeError(EquationSyntaxError):
+    """An exponent of x above MAX_DEGREE; ``position`` is where it starts."""
 
 
 def _tokenize(text: str):
@@ -156,7 +166,12 @@ class _Parser:
         self._advance()
         if self._peek() is not None and self._peek()[0] == "^":
             self._advance()
-            return self._integer("an exponent")
+            token = self._expect("int", "an exponent")
+            digits = token[1].lstrip("0") or "0"
+            # compared as text first: int() refuses numerals of over 4300 digits
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise InputTooLargeError(f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", token[2])
+            return int(digits)
         return 1
 
 

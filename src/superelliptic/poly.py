@@ -5,10 +5,11 @@ most of the library, :class:`~superelliptic.exact.QuadExt` for reconstructed
 equations.  The only requirements are exact +, -, *, / and an honest
 ``__eq__`` against 0.
 
-The resultant goes through the Sylvester matrix with fraction-free Bareiss
-elimination, so it stays exact and does not blow up intermediate sizes the
-way naive cofactor expansion does.  ``delta_support`` is the support
-analysis used to spot equations of the shape g(x**delta) or x*g(x**delta).
+The resultant is the exact Euclidean one: a polynomial remainder sequence
+over the coefficient field, O(deg p * deg q) field operations and no
+matrix.  ``sylvester_matrix`` is kept for callers who want the matrix
+itself.  ``delta_support`` is the support analysis used to
+spot equations of the shape g(x**delta) or x*g(x**delta).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Poly:
         return Fraction(0)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
+        return tuple([i for i, c in enumerate(self.coeffs) if c])
 
     def __call__(self, x):
         acc = None
@@ -210,33 +211,16 @@ def sylvester_matrix(p: Poly, q: Poly) -> list[list]:
     return rows
 
 
-def _det_bareiss(matrix: list[list]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination with pivoting."""
-    a = [row[:] for row in matrix]
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def resultant(p: Poly, q: Poly) -> Fraction:
     """res(p, q) with the standard sign convention: res(x - a, x - b) = a - b.
+
+    Computed by the Euclidean remainder sequence over the coefficient field:
+    with m = deg p >= n = deg q >= 1 and r = p mod q,
+
+        res(p, q) = (-1)**(m*n) * lc(q)**(m - deg r) * res(q, r),
+
+    and res(p, c) = c**m for a constant c.  The result is 0 as soon as a
+    remainder vanishes while its divisor still has positive degree.
 
     Zero inputs are refused: their resultant is a matter of convention and
     always signals an upstream bug in this library.
@@ -244,11 +228,18 @@ def resultant(p: Poly, q: Poly) -> Fraction:
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is not defined here")
     m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    return _det_bareiss(sylvester_matrix(p, q))
+    factor = 1
+    if m < n:
+        p, q, m, n = q, p, n, m
+        factor = (-1) ** (m * n)
+    while n > 0:
+        r = p % q
+        if r.is_zero():
+            return Fraction(0)
+        k = r.degree
+        factor *= (-1) ** (m * n) * q.leading_coefficient() ** (m - k)
+        p, q, m, n = q, r, n, k
+    return factor * q.coeffs[0] ** m
 
 
 def discriminant(p: Poly) -> Fraction:

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import superelliptic
 from superelliptic.cli import main
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
@@ -188,6 +193,53 @@ def test_invariants_from_stdin_list(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, "field", "-")
     assert code == 1
     assert doc["error"]["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"invariants": 5}, "invariants"),
+        ({"invariants": ["9", "4"], "n": 2.9}, "n"),
+        ({"invariants": ["9", "4"], "delta": True}, "delta"),
+    ],
+    ids=["invariants_number", "n_float", "delta_bool"],
+)
+def test_stdin_json_types_are_strict(capsys, monkeypatch, payload, key):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, doc, err = run_json(capsys, "field", "-")
+    assert code == 1 and err == ""
+    assert doc["error"]["code"] == "invalid_input"
+    assert f'"{key}"' in doc["error"]["message"]
+
+
+def test_stdin_json_nested_too_deeply_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, doc, _ = run_json(capsys, "field", "-")
+    assert code == 1
+    assert doc["error"]["code"] == "invalid_input"
+
+
+def test_exponent_above_max_degree_is_refused(capsys):
+    text = "y^2 = x^1000000000 + 1"
+    code, doc, _ = run_json(capsys, "classify", text)
+    assert code == 1
+    assert doc["error"]["code"] == "input_too_large"
+    assert doc["error"]["position"] == text.index("1000000000")
+
+
+@pytest.mark.parametrize("degree", [200, 2000])
+def test_high_degree_binomial_classifies_quickly(degree):
+    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "superelliptic", "classify", f"y^2 = x^{degree} + 1"],
+        capture_output=True, text=True, env=env, timeout=2,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["d"] == degree and doc["kind"] == "GDelta"
 
 
 def test_missing_invariants_is_an_input_error(capsys):

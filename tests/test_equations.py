@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superelliptic.equations import (
+    MAX_DEGREE,
     EquationSyntaxError,
+    InputTooLargeError,
     parse_equation,
     render_equation,
     render_polynomial,
@@ -60,6 +62,8 @@ def test_parse_sums_repeated_exponents():
         ("y^2 = x^4 ~ 1", "unexpected character", 10),
         ("y^2 = x^4 1", "expected '+' or '-'", 10),
         ("y^2 = x^", "expected an exponent", 8),
+        ("y^2 = x^10001 + 1", "exceeds MAX_DEGREE", 8),
+        pytest.param("y^2 = x^" + "9" * 5000, "exceeds MAX_DEGREE", 8, id="exponent-of-5000-digits"),
     ],
 )
 def test_parse_errors_carry_positions(text, fragment, position):
@@ -68,6 +72,15 @@ def test_parse_errors_carry_positions(text, fragment, position):
     assert fragment in str(excinfo.value)
     assert excinfo.value.position == position
     assert str(excinfo.value).endswith(f"(at position {position})")
+
+
+def test_exponent_cap_is_inclusive():
+    n, f = parse_equation(f"y^2 = x^{MAX_DEGREE} + 1")
+    assert f.degree == MAX_DEGREE
+    assert parse_equation(f"y^2 = x^000{MAX_DEGREE}")[1].degree == MAX_DEGREE
+    with pytest.raises(InputTooLargeError) as excinfo:
+        parse_equation(f"y^2 = x^{MAX_DEGREE} + x^{MAX_DEGREE + 1}")
+    assert excinfo.value.position == len(f"y^2 = x^{MAX_DEGREE} + x^")
 
 
 def test_render_is_canonical():

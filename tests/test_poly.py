@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -96,6 +97,8 @@ def test_resultant_sign_convention():
     assert resultant(Poly([-3, 1]), Poly([-5, 1])) == -2
     assert resultant(Poly([-5, 1]), Poly([-3, 1])) == 2
     assert resultant(Poly([1, 0, 1]), Poly([-1, 1])) == 2
+    # lc(p)**5 * q(-1) with p = x + 1, q = x^5 - 3x: both degrees odd, p the lower
+    assert resultant(Poly([1, 1]), Poly([0, -3, 0, 0, 0, 1])) == 2
     with pytest.raises(ValueError):
         resultant(Poly.zero(), Poly([1, 1]))
 
@@ -125,6 +128,73 @@ def test_resultant_matches_numpy_roots_oracle():
         numeric = numpy_resultant(p, q)
         assert abs(complex(exact) - numeric) <= 1e-6 * max(1.0, abs(complex(exact)))
         checked += 1
+
+
+def to_sympy(p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def from_sympy(value):
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def sympy_resultant(p, q):
+    """sympy.resultant(p, q), asked with the larger degree first.
+
+    sympy 1.14 gets the sign wrong whenever deg p < deg q and both degrees
+    are odd: res(x + 1, x^5 - 3x) is 1 * q(-1) = 2, but it returns -2.  Its
+    answers with deg p >= deg q agree with the Sylvester determinant, so the
+    swap rule res(p, q) = (-1)**(m*n) * res(q, p) covers the other order.
+    """
+    m, n = p.degree, q.degree
+    if m < n:
+        return (-1) ** (m * n) * sympy_resultant(q, p)
+    return from_sympy(sympy.resultant(to_sympy(p), to_sympy(q)))
+
+
+def random_poly(rng, degree):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    return Poly(coeffs + [lead])
+
+
+def oracle_polys():
+    """Seeded rational polynomials of degree 1..12 in the shapes validation sees."""
+    rng = random.Random(2014)
+    out = [random_poly(rng, rng.randint(1, 12)) for _ in range(30)]
+    for _ in range(15):
+        delta = rng.randint(2, 4)
+        g = random_poly(rng, rng.randint(1, 11 // delta))
+        f = Poly([g.coeffs[i // delta] if i % delta == 0 else 0 for i in range(delta * g.degree + 1)])
+        out.append(f)  # g(x^delta)
+        out.append(Poly([0, *f.coeffs]))  # x*g(x^delta)
+    for _ in range(15):
+        square = random_poly(rng, rng.randint(1, 3))
+        out.append(square * square * random_poly(rng, rng.randint(0, 6)))
+    return out
+
+
+def test_resultant_matches_sympy_exactly():
+    rng = random.Random(1405)
+    polys = oracle_polys()
+    constants = [Poly([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))]) for _ in range(6)]
+    pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(60)]
+    for _ in range(10):
+        # a shared factor makes the remainder sequence stop on a zero remainder
+        shared = random_poly(rng, rng.randint(1, 3))
+        p, q = random_poly(rng, rng.randint(0, 9)), random_poly(rng, rng.randint(0, 9))
+        pairs.append((shared * p, shared * q))
+    pairs += [(c, p) for c, p in zip(constants, polys)] + [(p, c) for c, p in zip(constants, polys[6:])]
+    pairs += [(constants[0], constants[1])]
+    for p, q in pairs:
+        assert resultant(p, q) == sympy_resultant(p, q), (p, q)
+
+
+def test_discriminant_matches_sympy_exactly():
+    for f in oracle_polys():
+        assert discriminant(f) == from_sympy(sympy.discriminant(to_sympy(f))), f
 
 
 def test_resultant_is_multiplicative_in_each_slot():
