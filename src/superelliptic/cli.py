@@ -10,7 +10,11 @@ Equation-taking commands accept the equation text as a positional argument,
 or ``-`` to read a JSON object from stdin (key ``"equation"``, optional
 ``"delta"``).  Invariant-taking commands accept ``--invariants p/q,p/q,...``
 or ``-`` for stdin JSON (keys ``"invariants"``, ``"n"``, ``"delta"``,
-optional ``"root"``).  Explicit flags win over stdin values.
+optional ``"root"``).  A set flag wins over stdin, stdin over the default.
+A rational is a JSON integer or ``[+-]digits[/digits]`` text (no exponents
+or decimals).  ``reconstruct`` refuses a rebuilt degree ``delta*(s+1)``
+above ``MAX_DEGREE``.  Every document, errors included, carries
+``schema_version`` and ``command``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -27,14 +32,13 @@ from .dihedral import (
     DihedralInvariants,
     NoExtraAutomorphismError,
     UnsupportedFormError,
-    dihedral_discriminant,
     field_of_definition,
     invariants_for_curve,
     leading_coefficients,
     reconstruct,
     roundtrip_verify,
 )
-from .equations import EquationSyntaxError, InputTooLargeError, parse_equation, render_equation
+from .equations import MAX_DEGREE, EquationSyntaxError, InputTooLargeError, parse_equation, render_equation
 from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
@@ -79,19 +83,10 @@ def _print_human(value, indent=0):
                 _print_human(inner, indent + 1)
             else:
                 print(f"{pad}- {inner}")
-    else:
-        print(f"{pad}{value}")
-
-
-def _emit(doc: dict, as_json: bool) -> None:
-    doc = _jsonable(doc)
-    if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        _print_human(doc)
 
 
 _ERROR_CODES = (
+    (UsageError, "usage_error"),
     (InputTooLargeError, "input_too_large"),
     (EquationSyntaxError, "syntax_error"),
     (CurveValidationError, "invalid_curve"),
@@ -103,7 +98,7 @@ _ERROR_CODES = (
 )
 
 
-def _error_doc(command: str, exc: Exception) -> dict:
+def _error_doc(exc: Exception) -> dict:
     code = "invalid_input"
     for exc_type, name in _ERROR_CODES:
         if isinstance(exc, exc_type):
@@ -116,7 +111,7 @@ def _error_doc(command: str, exc: Exception) -> dict:
         error["violations"] = [
             {"code": code_, "message": message} for code_, message in exc.violations
         ]
-    return {"schema_version": SCHEMA_VERSION, "command": command, "error": error}
+    return {"error": error}
 
 
 def _stdin_doc() -> dict:
@@ -145,13 +140,53 @@ def _stdin_value(doc: dict, key: str, *kinds: type):
     return value
 
 
-def _parse_rational(text) -> Fraction:
-    if type(text) not in (str, int):
-        raise ValueError(f"not an exact rational: {text!r}")
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+#: The JSON types each stdin key may have; no other key is read.
+_STDIN_TYPES = {"equation": (str,), "invariants": (str, list), "n": (int,), "delta": (int,), "root": (str,)}
+
+#: Per command: its input keys with their defaults (the first key has none and
+#: is required), the message when that key is given nowhere, and whether the
+#: positional is that key's value ("-" always means stdin JSON).
+_EQUATION_INPUTS = ({"equation": None, "delta": None}, 'stdin JSON needs an "equation" key', True)
+_INVARIANT_INPUTS = ({"invariants": None, "n": 2, "delta": 2, "root": "minus"},
+                     "no invariants given; use --invariants or stdin JSON", False)
+_INPUTS = {"invariants": _EQUATION_INPUTS, "classify": _EQUATION_INPUTS,
+           "field": _INVARIANT_INPUTS, "reconstruct": _INVARIANT_INPUTS}
+
+
+def _merged_input(args) -> dict:
+    """Each input key: its flag if set, else its type-checked stdin value, else its default."""
+    defaults, missing, positional_is_value = _INPUTS[args.command]
+    merged = {key: getattr(args, key, None) for key in defaults}
+    first = next(iter(defaults))
+    if args.source == "-":
+        doc = _stdin_doc()
+        for key in defaults:
+            if merged[key] is None and key in doc:
+                merged[key] = _stdin_value(doc, key, *_STDIN_TYPES[key])
+    elif positional_is_value:
+        merged[first] = args.source
+    elif args.source is not None:
+        raise ValueError(f"unexpected positional argument {args.source!r}; only '-' is allowed")
+    if merged[first] is None:
+        raise ValueError(missing)
+    return {key: defaults[key] if value is None else value for key, value in merged.items()}
+
+
+def _invariants(inputs: dict) -> DihedralInvariants:
+    return DihedralInvariants(_parse_rational_list(inputs["invariants"]), inputs["n"], inputs["delta"])
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value) -> Fraction:
+    """A JSON integer or the text [+-]digits[/digits]: no exponents, so no huge expansions."""
+    if type(value) in (str, int) and _RATIONAL.fullmatch(str(value).strip()):
+        try:
+            return Fraction(str(value).strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def _parse_rational_list(value) -> tuple[Fraction, ...]:
@@ -164,65 +199,29 @@ def _parse_rational_list(value) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(piece) for piece in parts)
 
 
-def _field_doc(report) -> dict:
+def _field_section(inv: DihedralInvariants) -> dict:
+    """The discriminant and the field report, from one field_of_definition call."""
+    report = field_of_definition(inv)
     return {
         "discriminant": report.discriminant,
-        "is_square": report.is_square,
-        "is_degenerate": report.is_degenerate,
-        "squarefree_radicand": report.squarefree_radicand,
-        "description": report.field_description,
-        "note": report.note,
+        "field": {
+            "discriminant": report.discriminant,
+            "is_square": report.is_square,
+            "is_degenerate": report.is_degenerate,
+            "squarefree_radicand": report.squarefree_radicand,
+            "description": report.field_description,
+            "note": report.note,
+        },
     }
 
 
-def _equation_input(args) -> tuple[str, int | None]:
-    """The (equation text, delta override) pair, honoring '-' for stdin."""
-    equation = args.equation
-    delta = args.delta
-    if equation == "-":
-        doc = _stdin_doc()
-        if "equation" not in doc:
-            raise ValueError('stdin JSON needs an "equation" key')
-        equation = _stdin_value(doc, "equation", str)
-        if delta is None and "delta" in doc:
-            delta = _stdin_value(doc, "delta", int)
-    return equation, delta
-
-
-def _invariants_input(args) -> tuple[DihedralInvariants, str]:
-    """DihedralInvariants plus root choice from flags and/or stdin JSON."""
-    values = args.invariants
-    n = args.n
-    delta = args.delta
-    root = getattr(args, "root", None)
-    if args.source == "-":
-        doc = _stdin_doc()
-        if values is None and "invariants" in doc:
-            values = _stdin_value(doc, "invariants", str, list)
-        if n is None and "n" in doc:
-            n = _stdin_value(doc, "n", int)
-        if delta is None and "delta" in doc:
-            delta = _stdin_value(doc, "delta", int)
-        if root is None and "root" in doc:
-            root = _stdin_value(doc, "root", str)
-    elif args.source is not None:
-        raise ValueError(f"unexpected positional argument {args.source!r}; only '-' is allowed")
-    if values is None:
-        raise ValueError("no invariants given; use --invariants or stdin JSON")
-    inv = DihedralInvariants(_parse_rational_list(values), n if n is not None else 2,
-                             delta if delta is not None else 2)
-    return inv, (root if root is not None else "minus")
-
-
 def _cmd_invariants(args) -> dict:
-    equation, delta = _equation_input(args)
-    n, f = parse_equation(equation)
+    inputs = _merged_input(args)
+    n, f = parse_equation(inputs["equation"])
     curve = validate(n, f)
-    nf, inv = invariants_for_curve(curve, delta)
+    nf, inv = invariants_for_curve(curve, inputs["delta"])
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invariants",
-        "inputs": {"equation": equation, "delta": delta},
+        "inputs": inputs,
         "n": curve.n,
         "delta": nf.delta,
         "s": nf.s,
@@ -230,21 +229,18 @@ def _cmd_invariants(args) -> dict:
         "rescale": nf.rescale,
         "a": list(nf.a),
         "invariants": list(inv.values),
-        "discriminant": dihedral_discriminant(inv),
-        "field": _field_doc(field_of_definition(inv)),
+        **_field_section(inv),
     }
 
 
 def _cmd_classify(args) -> dict:
-    equation, delta = _equation_input(args)
-    n, f = parse_equation(equation)
+    inputs = _merged_input(args)
+    n, f = parse_equation(inputs["equation"])
     curve = validate(n, f)
-    nf = classify_normal_form(curve, delta)
+    nf = classify_normal_form(curve, inputs["delta"])
     invariants_supported = nf.kind == "GDelta" and (nf.s or 0) >= 2
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
-        "inputs": {"equation": equation, "delta": delta},
+        "inputs": inputs,
         "n": curve.n,
         "d": curve.d,
         "genus": curve.genus,
@@ -267,8 +263,6 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_genus(args) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "genus",
         "inputs": {"n": args.n, "d": args.d},
         "n": args.n,
         "d": args.d,
@@ -277,33 +271,26 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_field(args) -> dict:
-    inv, _ = _invariants_input(args)
+    inv = _invariants(_merged_input(args))
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "field",
         "inputs": {"invariants": list(inv.values), "n": inv.n, "delta": inv.delta},
-        "discriminant": dihedral_discriminant(inv),
-        "field": _field_doc(field_of_definition(inv)),
+        **_field_section(inv),
     }
 
 
 def _cmd_reconstruct(args) -> dict:
-    inv, root = _invariants_input(args)
+    inputs = _merged_input(args)
+    inv = _invariants(inputs)
+    degree = inv.delta * (inv.s + 1)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"the rebuilt equation would have degree {degree}, above MAX_DEGREE = {MAX_DEGREE}")
     plus, minus = leading_coefficients(inv)
-    rec = reconstruct(inv, root)
+    rec = reconstruct(inv, inputs["root"])
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reconstruct",
-        "inputs": {
-            "invariants": list(inv.values),
-            "n": inv.n,
-            "delta": inv.delta,
-            "root": root,
-        },
-        "discriminant": dihedral_discriminant(inv),
-        "field": _field_doc(field_of_definition(inv)),
+        "inputs": {**inputs, "invariants": list(inv.values)},
+        **_field_section(inv),
         "roots": {"plus": plus, "minus": minus},
-        "root_choice": root,
+        "root_choice": rec.root_choice,
         "leading_coefficient": rec.leading_coefficient,
         "interior_coefficients": list(rec.interior_coefficients),
         "equation": render_equation(rec.n, rec.polynomial()),
@@ -331,8 +318,6 @@ def _cmd_roundtrip(args) -> dict:
                     {"index": index, "a": [str(v) for v in tuple_a], "reason": report.reason}
                 )
         return {
-            "schema_version": SCHEMA_VERSION,
-            "command": "roundtrip",
             "inputs": {"random": args.random, "seed": args.seed, "n": args.n, "delta": args.delta},
             "total": args.random,
             "passed": counts["pass"],
@@ -345,8 +330,6 @@ def _cmd_roundtrip(args) -> dict:
     tuple_a = _parse_rational_list(args.a)
     report = roundtrip_verify(tuple_a, args.n, args.delta)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "roundtrip",
         "inputs": {"a": list(tuple_a), "n": args.n, "delta": args.delta},
         "status": report.status,
         "reason": report.reason,
@@ -362,30 +345,18 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json_flag(p):
-        p.add_argument(
-            "--json",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="emit JSON (default) or a plain listing with --no-json",
-        )
-
-    p = sub.add_parser("invariants", help="classify an equation and compute its invariants")
-    p.add_argument("equation", help="equation text, or - for stdin JSON")
-    p.add_argument("--delta", type=int, default=None, help="pin delta instead of taking the maximal fit")
-    add_json_flag(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("classify", help="detect the normal form of an equation")
-    p.add_argument("equation", help="equation text, or - for stdin JSON")
-    p.add_argument("--delta", type=int, default=None, help="pin delta instead of taking the maximal fit")
-    add_json_flag(p)
-    p.set_defaults(func=_cmd_classify)
+    for name, help_text, func in (
+        ("invariants", "classify an equation and compute its invariants", _cmd_invariants),
+        ("classify", "detect the normal form of an equation", _cmd_classify),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("source", metavar="equation", help="equation text, or - for stdin JSON")
+        p.add_argument("--delta", type=int, default=None, help="pin delta instead of taking the maximal fit")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("genus", help="genus of y^n = f(x) from n and deg f")
     p.add_argument("--n", type=int, required=True, help="superelliptic exponent")
     p.add_argument("--d", type=int, required=True, help="degree of f")
-    add_json_flag(p)
     p.set_defaults(func=_cmd_genus)
 
     def add_invariant_inputs(p):
@@ -396,14 +367,12 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("field", help="field of moduli vs field of definition from invariants")
     add_invariant_inputs(p)
-    add_json_flag(p)
     p.set_defaults(func=_cmd_field)
 
     p = sub.add_parser("reconstruct", help="rebuild an equation from invariants")
     add_invariant_inputs(p)
     p.add_argument("--root", choices=["plus", "minus"], default=None,
                    help="which quadratic root becomes the leading coefficient (default minus)")
-    add_json_flag(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("roundtrip", help="forward-compute invariants, reconstruct, compare")
@@ -413,31 +382,34 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
     p.add_argument("--n", type=int, default=2, help="superelliptic exponent (default 2)")
     p.add_argument("--delta", type=int, default=2, help="decimation step (default 2)")
-    add_json_flag(p)
     p.set_defaults(func=_cmd_roundtrip)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--json",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="emit JSON (default) or a plain listing with --no-json",
+        )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    command, as_json, out = "usage", True, sys.stderr
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        command, as_json, out = args.command, args.json, sys.stdout
+        body, code = args.func(args), 0
     except UsageError as exc:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "usage",
-            "error": {"code": "usage_error", "message": str(exc)},
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2), file=sys.stderr)
-        return 2
-    try:
-        doc = args.func(args)
+        body, code = _error_doc(exc), 2
     except (ValueError, ArithmeticError) as exc:
-        _emit(_error_doc(args.command, exc), args.json)
-        return 1
-    _emit(doc, args.json)
-    return 0
+        body, code = _error_doc(exc), 1
+    doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
+    if as_json:
+        print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+    else:
+        _print_human(doc)
+    return code
 
 
 if __name__ == "__main__":

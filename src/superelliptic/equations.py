@@ -3,8 +3,9 @@
 The accepted form is ``y^N = POLY`` where POLY is a sum of terms
 ``[COEF][*]x[^EXP]`` plus optional constants; COEF is an integer or a
 rational ``p/q``; whitespace is ignored everywhere; ``-`` binds to the term
-that follows it.  An exponent of x above ``MAX_DEGREE`` is refused with
-:class:`InputTooLargeError` before any polynomial is built.  Examples:
+that follows it.  An exponent of x above ``MAX_DEGREE``, or any numeral of
+more than 4300 digits, is refused with :class:`InputTooLargeError` before
+any polynomial is built.  Examples:
 
     y^2 = x^6 + 2x^4 + 3x^2 + 1
     y^3 = x^7 + 5*x^4 + x
@@ -30,6 +31,10 @@ from .poly import Poly
 #: so a term x^e costs e + 1 coefficients before any check can run.
 MAX_DEGREE = 10_000
 
+#: Longest numeral the parser converts: CPython's int() refuses longer
+#: decimal text by default, with a message that carries no position.
+_MAX_DIGITS = 4300
+
 
 class EquationSyntaxError(ValueError):
     """Bad equation text; ``position`` is the 0-based offset of the problem."""
@@ -40,7 +45,7 @@ class EquationSyntaxError(ValueError):
 
 
 class InputTooLargeError(EquationSyntaxError):
-    """An exponent of x above MAX_DEGREE; ``position`` is where it starts."""
+    """An exponent of x above MAX_DEGREE or an over-long numeral; ``position`` is where it starts."""
 
 
 def _tokenize(text: str):
@@ -68,6 +73,12 @@ def _tokenize(text: str):
             continue
         raise EquationSyntaxError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def _numeral(token) -> int:
+    if len(token[1]) > _MAX_DIGITS:
+        raise InputTooLargeError(f"a numeral has more than {_MAX_DIGITS} digits", token[2])
+    return int(token[1])
 
 
 class _Parser:
@@ -99,7 +110,7 @@ class _Parser:
         return self._advance()
 
     def _integer(self, what: str) -> int:
-        return int(self._expect("int", what)[1])
+        return _numeral(self._expect("int", what))
 
     def parse(self):
         token = self._peek()
@@ -137,7 +148,7 @@ class _Parser:
             self._fail("expected a term")
         if token[0] == "int":
             self._advance()
-            numerator = int(token[1])
+            numerator = _numeral(token)
             coeff = Fraction(numerator)
             if self._peek() is not None and self._peek()[0] == "/":
                 self._advance()

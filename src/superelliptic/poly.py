@@ -7,9 +7,8 @@ equations.  The only requirements are exact +, -, *, / and an honest
 
 The resultant is the exact Euclidean one: a polynomial remainder sequence
 over the coefficient field, O(deg p * deg q) field operations and no
-matrix.  ``sylvester_matrix`` is kept for callers who want the matrix
-itself.  ``delta_support`` is the support analysis used to
-spot equations of the shape g(x**delta) or x*g(x**delta).
+matrix.  ``delta_support`` is the support analysis used to spot equations
+of the shape g(x**delta) or x*g(x**delta).
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exact import QuadExt
 
 
 class Poly:
@@ -174,11 +175,12 @@ class Poly:
             c = self.coeffs[e]
             if not c:
                 continue
-            try:
+            if isinstance(c, QuadExt) and c.b:
+                neg, mag = False, f"({c})"
+            else:
+                c = c.a if isinstance(c, QuadExt) else c
                 neg = c < 0
-            except TypeError:
-                neg = False
-            mag = -c if neg else c
+                mag = -c if neg else c
             if e == 0:
                 body = str(mag)
             elif mag == 1:
@@ -193,22 +195,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-
-def sylvester_matrix(p: Poly, q: Poly) -> list[list]:
-    """The (m+n) x (m+n) Sylvester matrix of p (degree m) and q (degree n)."""
-    m, n = p.degree, q.degree
-    if p.is_zero() or q.is_zero():
-        raise ValueError("the Sylvester matrix needs nonzero polynomials")
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - i - len(pc)))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - i - len(qc)))
-    return rows
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:

@@ -1,14 +1,19 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superelliptic
 from superelliptic.cli import main
+from superelliptic.equations import MAX_DEGREE
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
 
@@ -263,3 +268,96 @@ def test_json_is_sorted_and_parses(capsys, argv):
     _, out, _ = run(capsys, *argv)
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("field", "--invariants", "1e1000000,1"), "invalid_input"),
+        (("field", "--invariants", "1.5,2"), "invalid_input"),
+        (("roundtrip", "--a", "2,1e1000000"), "invalid_input"),
+        (("classify", "y^2 = x^6 + " + "9" * 5000), "input_too_large"),
+    ],
+    ids=["exponent_notation", "decimal", "roundtrip_exponent_notation", "coefficient_of_5000_digits"],
+)
+def test_outside_numerals_are_refused_quickly(capsys, argv, code):
+    start = time.perf_counter()
+    exit_code, doc, err = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert exit_code == 1 and err == ""
+    assert doc["error"]["code"] == code
+
+
+def test_reconstruct_refuses_an_equation_above_max_degree(capsys):
+    code, doc, _ = run_json(capsys, "reconstruct", "--invariants", "1,1", "--delta", "1000000000")
+    assert code == 1 and doc["error"]["code"] == "invalid_input"
+    assert "MAX_DEGREE" in doc["error"]["message"]
+
+    tracemalloc.start()
+    try:
+        code, doc, _ = run_json(capsys, "reconstruct", "--invariants", "1,1", "--delta", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2_000_000
+
+    # the cap is inclusive: s = 2 and delta = MAX_DEGREE // 3 give degree 3 * delta <= MAX_DEGREE
+    delta = MAX_DEGREE // 3
+    code, doc, _ = run_json(capsys, "reconstruct", "--invariants", "1,1", "--delta", str(delta))
+    assert code == 0 and doc["equation"].startswith(f"y^2 = (1/2 - 1/4*sqrt(2))*x^{3 * delta} + ")
+
+    # field builds no polynomial and takes any delta
+    code, doc, _ = run_json(capsys, "field", "--invariants", "1,1", "--delta", "1000000000")
+    assert code == 0 and doc["inputs"]["delta"] == 1000000000
+
+
+EQUATIONS = (
+    SEXTIC,
+    "y^3 = x^9 + 3*x^6 - 2*x^3 + 1",
+    "y^3 = x^7 + 5*x^4 + x",
+    "y^2 = x^8 + 5x^4 + 1",
+    "y^2 = x^4 + 2x^2 + 1",
+    "y^2 = x^6 + * 1",
+    "y^2 = x^1000000000 + 1",
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+rationals = st.lists(st.integers(-60, 60) | st.sampled_from(["9", "4", "1/2", "-3/7", " 2 "]), min_size=2, max_size=6)
+not_rationals = st.lists(st.sampled_from(["9", "1e5", "1.5", "1/0", "x", ""]), max_size=4)
+stdin_documents = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "equation": st.sampled_from(EQUATIONS),
+        "invariants": rationals | rationals.map(lambda xs: ",".join(map(str, xs))) | not_rationals | json_values,
+        "n": st.integers(2, 12) | st.integers(max_value=1) | json_values,
+        "delta": st.integers(2, 12) | st.integers(max_value=1) | st.integers(min_value=13) | json_values,
+        "root": st.sampled_from(["plus", "minus", "best"]) | json_values,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["field", "reconstruct", "invariants", "classify"]), document=stdin_documents)
+def test_any_stdin_json_ends_in_one_structured_document(command, document):
+    """Arbitrary JSON on stdin gives exit 0 or 1 and one enveloped document.
+
+    The equation text comes from a fixed list: arbitrary equation text is out
+    of scope here, because validating a dense high-degree f has no time bound
+    yet (the remainder coefficients of its discriminant grow).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(document))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-"])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1) and err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert doc["schema_version"] == "1" and doc["command"] == command
+    assert (code == 1) == ("error" in doc)

@@ -64,6 +64,9 @@ def test_parse_sums_repeated_exponents():
         ("y^2 = x^", "expected an exponent", 8),
         ("y^2 = x^10001 + 1", "exceeds MAX_DEGREE", 8),
         pytest.param("y^2 = x^" + "9" * 5000, "exceeds MAX_DEGREE", 8, id="exponent-of-5000-digits"),
+        pytest.param("y^2 = x^6 + " + "9" * 5000, "more than 4300 digits", 12, id="coefficient-of-5000-digits"),
+        pytest.param("y^2 = x^6 + 1/" + "9" * 5000, "more than 4300 digits", 14, id="denominator-of-5000-digits"),
+        pytest.param("y^" + "9" * 5000 + " = x^6 + 1", "more than 4300 digits", 2, id="n-of-5000-digits"),
     ],
 )
 def test_parse_errors_carry_positions(text, fragment, position):
@@ -78,6 +81,7 @@ def test_exponent_cap_is_inclusive():
     n, f = parse_equation(f"y^2 = x^{MAX_DEGREE} + 1")
     assert f.degree == MAX_DEGREE
     assert parse_equation(f"y^2 = x^000{MAX_DEGREE}")[1].degree == MAX_DEGREE
+    assert parse_equation("y^2 = x^6 + " + "9" * 4300)[1].coefficient(0) == 10**4300 - 1
     with pytest.raises(InputTooLargeError) as excinfo:
         parse_equation(f"y^2 = x^{MAX_DEGREE} + x^{MAX_DEGREE + 1}")
     assert excinfo.value.position == len(f"y^2 = x^{MAX_DEGREE} + x^")

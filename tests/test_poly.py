@@ -14,7 +14,6 @@ from superelliptic.poly import (
     delta_support,
     discriminant,
     resultant,
-    sylvester_matrix,
 )
 
 small_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -58,6 +57,9 @@ def test_evaluation_and_str():
     assert str(p) == "x^6 + 2*x^4 + 3*x^2 + 1"
     assert str(Poly([Fraction(-1, 2), 1])) == "x - 1/2"
     assert str(Poly.zero()) == "0"
+    lead = QuadExt(Fraction(1, 2), Fraction(1, 4), 2)
+    assert str(Poly([1, 0, Fraction(1, 2), 0, lead])) == "(1/2 + 1/4*sqrt(2))*x^4 + 1/2*x^2 + 1"
+    assert str(Poly([QuadExt(-1, 0, 2), QuadExt(0, -1, 2)])) == "(-sqrt(2))*x - 1"
 
 
 @given(polys, polys, small_coeffs)
@@ -107,15 +109,6 @@ def test_resultant_degree_zero_cases():
     assert resultant(Poly([3]), Poly([1, 2, 1])) == 9
     assert resultant(Poly([1, 2, 1]), Poly([3])) == 9
     assert resultant(Poly([5]), Poly([7])) == 1
-
-
-def test_sylvester_matrix_shape():
-    m = sylvester_matrix(Poly([1, 0, 1]), Poly([-1, 1]))
-    assert [[str(x) for x in row] for row in m] == [
-        ["1", "0", "1"],
-        ["1", "-1", "0"],
-        ["0", "1", "-1"],
-    ]
 
 
 def test_resultant_matches_numpy_roots_oracle():
