@@ -18,7 +18,10 @@ whose roots are a_1**(s+1) and a_s**(s+1).  Its discriminant decides
 everything: a rational square means the curve lives over the field of moduli
 itself; a non-square means a genuine quadratic extension is needed; zero
 marks the degenerate family with a larger automorphism group, where this
-reconstruction does not apply.
+reconstruction does not apply.  Each tuple makes that decision once:
+``DihedralInvariants.field_report`` runs the discriminant, its square test
+and its squarefree decomposition on first use, and ``field_of_definition``,
+the roots, reconstruction and the CLI all read that one report.
 
 The coefficient identity used for reconstruction is
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curve import G_DELTA, SuperellipticCurve, classify_normal_form
 from .exact import QuadExt, _exact, is_perfect_square, squarefree_decompose
@@ -84,6 +88,36 @@ class DihedralInvariants:
     def s(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def field_report(self) -> FieldReport:
+        """The one analysis of the dihedral discriminant, run on first use; see FieldReport."""
+        disc = dihedral_discriminant(self)
+        square, square_part = is_perfect_square(disc)  # 0 is a square with root 0
+        radicand = None
+        if disc == 0:
+            note = (
+                "degenerate family: the field of moduli is a field of definition, "
+                "and the automorphism group is larger than generic"
+            )
+        elif square:
+            note = "the field of moduli is a field of definition"
+        else:
+            dec = squarefree_decompose(disc)
+            radicand, square_part = dec.squarefree_part, dec.square_part
+            note = (
+                "the field of moduli is not a field of definition; "
+                f"a model exists over the quadratic extension F(sqrt({radicand}))"
+            )
+        return FieldReport(
+            discriminant=disc,
+            is_square=square,
+            is_degenerate=disc == 0,
+            squarefree_radicand=radicand,
+            square_part=square_part,
+            field_description="F" if square else f"F(sqrt({radicand}))",
+            note=note,
+        )
+
 
 def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
     """Invariants of the interior coefficient tuple a = (a_1, ..., a_s).
@@ -113,21 +147,17 @@ def dihedral_discriminant(inv: DihedralInvariants) -> Fraction:
 def leading_coefficients(inv: DihedralInvariants):
     """Both roots of the defining quadratic, exactly.
 
-    Returns (plus, minus).  When the discriminant is a rational square both
-    roots are Fractions; otherwise they are conjugate QuadExt elements over
-    the squarefree radicand of the discriminant.
+    Returns (plus, minus), that is head/2 +- square_part/2**(s+2) read off
+    the tuple's field report.  When the discriminant is a rational square
+    both roots are Fractions; otherwise they are conjugate QuadExt elements
+    over the squarefree radicand of the discriminant.
     """
-    s = inv.s
-    head = inv.values[0]
-    disc = dihedral_discriminant(inv)
-    square, root = is_perfect_square(disc)
-    if square:
-        shift = root / 2 ** (s + 1)
-        return (head + shift) / 2, (head - shift) / 2
-    dec = squarefree_decompose(disc)
-    half = head / 2
-    shift = dec.square_part / 2 ** (s + 2)
-    d = dec.squarefree_part
+    report = field_of_definition(inv)
+    half = inv.values[0] / 2
+    shift = report.square_part / 2 ** (inv.s + 2)
+    if report.is_square:
+        return half + shift, half - shift
+    d = report.squarefree_radicand
     return QuadExt(half, shift, d), QuadExt(half, -shift, d)
 
 
@@ -137,53 +167,25 @@ class FieldReport:
 
     ``field_description`` is "F" (the field of moduli itself) or
     "F(sqrt(d))" with d the squarefree radicand of the discriminant.
+    ``square_part`` is the rational r >= 0 with
+    ``discriminant == (squarefree_radicand or 1) * r**2``; it is 0 exactly
+    on the degenerate locus.  Each DihedralInvariants builds its report once
+    (``DihedralInvariants.field_report``; a FactorBoundExceededError is not
+    kept) and every later reader shares it.
     """
 
     discriminant: Fraction
     is_square: bool
     is_degenerate: bool
     squarefree_radicand: int | None
+    square_part: Fraction
     field_description: str
     note: str
 
 
 def field_of_definition(inv: DihedralInvariants) -> FieldReport:
-    disc = dihedral_discriminant(inv)
-    if disc == 0:
-        return FieldReport(
-            discriminant=disc,
-            is_square=True,
-            is_degenerate=True,
-            squarefree_radicand=None,
-            field_description="F",
-            note=(
-                "degenerate family: the field of moduli is a field of definition, "
-                "and the automorphism group is larger than generic"
-            ),
-        )
-    square, _ = is_perfect_square(disc)
-    if square:
-        return FieldReport(
-            discriminant=disc,
-            is_square=True,
-            is_degenerate=False,
-            squarefree_radicand=None,
-            field_description="F",
-            note="the field of moduli is a field of definition",
-        )
-    dec = squarefree_decompose(disc)
-    d = dec.squarefree_part
-    return FieldReport(
-        discriminant=disc,
-        is_square=False,
-        is_degenerate=False,
-        squarefree_radicand=d,
-        field_description=f"F(sqrt({d}))",
-        note=(
-            "the field of moduli is not a field of definition; "
-            f"a model exists over the quadratic extension F(sqrt({d}))"
-        ),
-    )
+    """The field report of ``inv``, computed on first use and then shared."""
+    return inv.field_report
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
     """
     a = tuple(_exact(v) for v in a)
     inv = compute_invariants(a, n, delta)
-    if dihedral_discriminant(inv) == 0:
+    if field_of_definition(inv).is_degenerate:
         return RoundtripReport(status="skipped", reason="degenerate locus (discriminant 0)")
     s = inv.s
     target = a[-1] ** (s + 1)
@@ -342,7 +344,7 @@ def numeric_crosscheck(
     coefficient of exactly 0 carries no branch information, so the companion
     root is used instead and flagged.
     """
-    if dihedral_discriminant(inv) == 0:
+    if field_of_definition(inv).is_degenerate:
         raise DegenerateLocusError("degenerate locus: nothing to crosscheck")
     s = inv.s
     plus, minus = leading_coefficients(inv)

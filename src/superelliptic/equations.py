@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import QuadExt
 from .poly import Poly
 
 
@@ -199,22 +198,7 @@ def _term_body(magnitude, exponent: int) -> str:
 
 def render_polynomial(poly: Poly) -> str:
     """Canonical text for a polynomial over Q or a quadratic extension."""
-    parts = []
-    for exponent in range(len(poly.coeffs) - 1, -1, -1):
-        coeff = poly.coeffs[exponent]
-        if not coeff:
-            continue
-        if isinstance(coeff, QuadExt) and coeff.b != 0:
-            body = _term_body(f"({coeff})", exponent)
-            parts.append(body if not parts else f"+ {body}")
-            continue
-        value = coeff.a if isinstance(coeff, QuadExt) else coeff
-        body = _term_body(abs(value), exponent)
-        if not parts:
-            parts.append(f"-{body}" if value < 0 else body)
-        else:
-            parts.append(f"- {body}" if value < 0 else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+    return poly.join_terms(_term_body)
 
 
 def render_equation(n: int, poly: Poly) -> str:

@@ -178,8 +178,10 @@ def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Squa
             elif _is_probable_prime(n):
                 squarefree *= n
             else:
+                # described by size: str() of a cofactor over 4300 digits raises ValueError
                 raise FactorBoundExceededError(
-                    f"cofactor {n} has no factor <= {factor_bound} and is neither prime nor a prime square"
+                    f"a {n.bit_length()}-bit cofactor has no factor <= {factor_bound} "
+                    "and is neither prime nor a prime square"
                 )
     return SquarefreeDecomposition(sign * squarefree, Fraction(root, x.denominator))
 

@@ -167,34 +167,42 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
+    def join_terms(self, body) -> str:
+        """The nonzero terms, highest exponent first, joined with signs.
+
+        ``body(magnitude, exponent)`` writes one term without its sign.  The
+        sign comes from the rational part; an irrational QuadExt coefficient
+        is passed as ``"(a + b*sqrt(d))"`` and always joins with ``+``.
+        """
         parts = []
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
             if not c:
                 continue
             if isinstance(c, QuadExt) and c.b:
-                neg, mag = False, f"({c})"
+                neg, text = False, body(f"({c})", e)
             else:
                 c = c.a if isinstance(c, QuadExt) else c
-                neg = c < 0
-                mag = -c if neg else c
-            if e == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "x" if e == 1 else f"x^{e}"
+                neg, text = c < 0, body(abs(c), e)
+            if parts:
+                parts.append(f"- {text}" if neg else f"+ {text}")
             else:
-                body = f"{mag}*x" if e == 1 else f"{mag}*x^{e}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+                parts.append(f"-{text}" if neg else text)
+        return " ".join(parts) if parts else "0"
+
+    def __str__(self):
+        return self.join_terms(_short_term)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+def _short_term(magnitude, exponent: int) -> str:
+    """A term for ``str(Poly)``: a coefficient of 1 and the exponent 1 are left out."""
+    if exponent == 0:
+        return str(magnitude)
+    power = "x" if exponent == 1 else f"x^{exponent}"
+    return power if magnitude == 1 else f"{magnitude}*{power}"
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:

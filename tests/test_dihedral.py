@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superelliptic import dihedral
+from superelliptic.cli import main
 from superelliptic.curve import validate
 from superelliptic.dihedral import (
     DegenerateLocusError,
@@ -127,6 +130,7 @@ def test_squareness_matches_root_field(vals):
     rational_roots = isinstance(plus, Fraction) and isinstance(minus, Fraction)
     assert report.is_square == rational_roots
     assert report.is_square == is_perfect_square(dihedral_discriminant(inv))[0]
+    assert report.discriminant == (report.squarefree_radicand or 1) * report.square_part**2
 
 
 def test_field_reports():
@@ -171,6 +175,44 @@ def test_reconstruct_on_quadratic_extension():
     poly = rec.polynomial()
     assert poly.coefficient(0) == 1
     assert poly.coefficient(4) == lead and poly.coefficient(6) == lead
+
+
+def count_analysis_calls(monkeypatch):
+    """Count the square tests and squarefree decompositions the dihedral module runs."""
+    calls = {"is_perfect_square": 0, "squarefree_decompose": 0}
+    for name in calls:
+        original = getattr(dihedral, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dihedral, name, counted)
+    return calls
+
+
+def test_each_tuple_is_analysed_once_whatever_the_order(monkeypatch):
+    calls = count_analysis_calls(monkeypatch)
+    steps = [
+        field_of_definition,
+        leading_coefficients,
+        lambda inv: reconstruct(inv, "plus"),
+        lambda inv: reconstruct(inv, "minus"),
+        numeric_crosscheck,
+    ]
+    for order in itertools.permutations(steps):
+        inv = DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)  # discriminant 32, not a square
+        for step in order:
+            step(inv)
+        assert calls == {"is_perfect_square": 1, "squarefree_decompose": 1}
+        calls.update(dict.fromkeys(calls, 0))
+
+
+def test_cli_reconstruct_analyses_the_tuple_once(monkeypatch, capsys):
+    calls = count_analysis_calls(monkeypatch)
+    assert main(["reconstruct", "--invariants", "1,1"]) == 0
+    assert '"F(sqrt(2))"' in capsys.readouterr().out
+    assert calls == {"is_perfect_square": 1, "squarefree_decompose": 1}
 
 
 def test_roundtrip_worked_examples():

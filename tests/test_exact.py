@@ -132,6 +132,13 @@ def test_squarefree_decompose_large_cofactors():
         squarefree_decompose(two_primes)
 
 
+def test_factor_bound_error_on_a_cofactor_too_long_to_print():
+    # str() of an int over 4300 digits raises ValueError; the message gives the size instead
+    cofactor = 13 * 17 * (10**4400 + 1)
+    with pytest.raises(FactorBoundExceededError, match=f"a {cofactor.bit_length()}-bit cofactor"):
+        squarefree_decompose(cofactor, factor_bound=10)
+
+
 def test_quadext_construction_rejects_bad_radicands():
     with pytest.raises(ValueError):
         QuadExt(1, 1, 0)
