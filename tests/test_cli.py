@@ -277,8 +277,10 @@ def test_json_is_sorted_and_parses(capsys, argv):
         (("field", "--invariants", "1.5,2"), "invalid_input"),
         (("roundtrip", "--a", "2,1e1000000"), "invalid_input"),
         (("classify", "y^2 = x^6 + " + "9" * 5000), "input_too_large"),
+        (("field", "--invariants", "9" * 2000 + "," + "7" * 2000), "factor_bound_exceeded"),
     ],
-    ids=["exponent_notation", "decimal", "roundtrip_exponent_notation", "coefficient_of_5000_digits"],
+    ids=["exponent_notation", "decimal", "roundtrip_exponent_notation", "coefficient_of_5000_digits",
+         "invariants_of_2000_digits"],
 )
 def test_outside_numerals_are_refused_quickly(capsys, argv, code):
     start = time.perf_counter()

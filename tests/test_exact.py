@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superelliptic
 from superelliptic.exact import (
     DEFAULT_FACTOR_BOUND,
+    MAX_COFACTOR_BITS,
     FactorBoundExceededError,
     QuadExt,
     RadicandMismatchError,
@@ -137,6 +143,99 @@ def test_factor_bound_error_on_a_cofactor_too_long_to_print():
     cofactor = 13 * 17 * (10**4400 + 1)
     with pytest.raises(FactorBoundExceededError, match=f"a {cofactor.bit_length()}-bit cofactor"):
         squarefree_decompose(cofactor, factor_bound=10)
+
+
+def expected_decomposition(x, factors, bound):
+    """The decomposition of x from a factorization of |p|*q, or None for a refusal.
+
+    ``squarefree_decompose`` refuses exactly when the primes above the bound
+    do not multiply to 1, a prime or a prime square.
+    """
+    squarefree = root = 1
+    for p, k in factors.items():
+        root *= p ** (k // 2)
+        if k % 2:
+            squarefree *= p
+    above = sorted(k for p, k in factors.items() if p > bound)
+    if above not in ([], [1], [2]):
+        return None
+    return SquarefreeDecomposition((1 if x > 0 else -1) * squarefree, Fraction(root, x.denominator))
+
+
+def naive_factors(n):
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+#: Primes at the edges of the first two prime windows and of the default bound.
+EDGE_PRIMES = (4093, 4099, 999983, 1000003)
+planted = st.tuples(
+    st.sampled_from(EDGE_PRIMES) | st.integers(min_value=2, max_value=5000),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(planted, max_size=5), st.lists(planted, max_size=4), st.sampled_from([1, -1]))
+def test_squarefree_decompose_matches_sympy_factorint(numerator, denominator, sign):
+    x = Fraction(sign * math.prod(p**k for p, k in numerator), math.prod(p**k for p, k in denominator))
+    factors = sympy.factorint(abs(x.numerator) * x.denominator)
+    expected = expected_decomposition(x, factors, DEFAULT_FACTOR_BOUND)
+    if expected is None:
+        with pytest.raises(FactorBoundExceededError, match="neither prime nor a prime square"):
+            squarefree_decompose(x)
+    else:
+        assert squarefree_decompose(x) == expected
+
+
+@pytest.mark.parametrize("bound", [10, 4096, 5000])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**8)
+    | st.builds(lambda p, q, m: p * q * m, st.sampled_from((4093, 4099, 4111, 4999, 5003, 8191)),
+                st.sampled_from((4093, 4099, 4111, 4999, 5003, 8191)), st.integers(1, 50))
+)
+def test_squarefree_part_matches_naive_oracle_at_other_bounds(bound, n):
+    expected = expected_decomposition(Fraction(n), naive_factors(n), bound)
+    if expected is None:
+        with pytest.raises(FactorBoundExceededError, match=f"no factor <= {bound}"):
+            squarefree_decompose(n, factor_bound=bound)
+    else:
+        dec = squarefree_decompose(n, factor_bound=bound)
+        assert dec == expected and dec.squarefree_part == naive_squarefree_part(n)
+
+
+def test_small_radicand_builds_only_the_first_prime_window():
+    # a fresh interpreter, so the lazily built window products start empty
+    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
+    code = (
+        "import tracemalloc\n"
+        "from superelliptic.exact import squarefree_decompose\n"
+        "tracemalloc.start()\n"
+        "squarefree_decompose(4 * (10**6 + 3))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64_000
+
+
+def test_cofactor_length_limit():
+    assert MAX_COFACTOR_BITS == 2048
+    prime = 2**1279 - 1
+    assert squarefree_decompose(3 * prime) == SquarefreeDecomposition(3 * prime, Fraction(1))
+    assert squarefree_decompose(Fraction(prime**2, 5)) == SquarefreeDecomposition(5, Fraction(prime, 5))
+    with pytest.raises(FactorBoundExceededError, match="a 2203-bit cofactor .* 2048-bit limit"):
+        squarefree_decompose(2**2203 - 1)
 
 
 def test_quadext_construction_rejects_bad_radicands():
