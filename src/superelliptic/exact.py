@@ -10,13 +10,7 @@ library does not have:
   present a quadratic extension Q(sqrt(d)) with a canonical radicand, and
 * :class:`QuadExt`, an exact element a + b*sqrt(d) of such an extension.
 
-Squarefree decomposition strips the primes up to a bound by batch trial
-division: one gcd per window of 4096 integers against the product of the
-window's primes.  Those products are built on first use, a doubling prefix
-at a time, and kept (~180 KB for the default bound); nothing is built at
-import.  The cofactor left over is certified by Miller-Rabin, deterministic
-below 3.3e24 and a probable-prime test above, and only up to
-``MAX_COFACTOR_BITS``.
+Squarefree decomposition is described in :func:`squarefree_decompose`.
 
 No floats appear anywhere in this module; every operation is exact and every
 value is immutable.
@@ -36,8 +30,7 @@ _ONE = Fraction(1)
 #: Largest prime the default trial-division pass will strip.
 DEFAULT_FACTOR_BOUND = 10**6
 
-#: Longest cofactor (in bits) that the Miller-Rabin pass is asked to test;
-#: one modular ``pow`` costs ~0.04 s at 2048 bits and ~1.6 s at 8192.
+#: Longest cofactor (in bits) that the Miller-Rabin pass is asked to test.
 MAX_COFACTOR_BITS = 2048
 
 #: Width of the prime windows whose products the trial-division pass uses.
@@ -197,8 +190,6 @@ def _window_products(first: int, last: int, bound: int) -> list[int]:
 #: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
 _kept_products: tuple[int, ...] = ()
 _DEFAULT_WINDOWS = DEFAULT_FACTOR_BOUND // _WINDOW + 1
-#: Windows sieved together, and not kept, for a bound other than the default.
-_CHUNK = 64
 
 
 def _kept_product(k: int) -> int:
@@ -213,25 +204,13 @@ def _kept_product(k: int) -> int:
 
 
 def _prime_windows(bound: int):
-    """Yield (hi, product of the primes in [lo, hi)) for windows [lo, hi) covering [2, bound].
-
-    Windows that are the same under the default bound come from the kept
-    table; the others are sieved ``_CHUNK`` at a time and dropped.
-    """
-    count = bound // _WINDOW + 1 if bound >= 2 else 0
-    if bound == DEFAULT_FACTOR_BOUND:
-        kept = _DEFAULT_WINDOWS
-    else:
-        kept = (min(bound, DEFAULT_FACTOR_BOUND) + 1) // _WINDOW
-    k = 0
-    while k < count:
-        if k < kept:
-            products = [_kept_product(k)]
+    """Yield (hi, product of the primes in [lo, hi)) for windows [lo, hi) covering [2, bound]."""
+    for k in range(bound // _WINDOW + 1 if bound >= 2 else 0):
+        if bound == DEFAULT_FACTOR_BOUND:
+            product = _kept_product(k)
         else:
-            products = _window_products(k, min(k + _CHUNK, count), bound)
-        for product in products:
-            yield min(k * _WINDOW + _WINDOW, bound + 1), product
-            k += 1
+            (product,) = _window_products(k, k + 1, bound)
+        yield min(k * _WINDOW + _WINDOW, bound + 1), product
 
 
 def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> SquarefreeDecomposition:
@@ -243,8 +222,9 @@ def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Squa
     them that divide it; a chain of gcds then reads off their exponents.
     The walk stops early once the next window starts above the square root
     of what is left.  The window products of the default bound (~180 KB)
-    are built on first use, a prefix at a time, and kept; other bounds
-    sieve the windows they do not share with it on each call.
+    are built on first use, a doubling prefix at a time, and kept; nothing
+    is built at import.  Any other bound sieves its windows one at a time on
+    each call and keeps none.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below 3.3e24 (~81 bits) the 13-base
@@ -377,8 +357,6 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if not o.b:  # a rational factor scales both parts
-            return QuadExt._of(self.a * o.a, self.b * o.a, self.d)
         return QuadExt._of(
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
