@@ -10,7 +10,6 @@ from superelliptic import (
     dihedral_discriminant,
     field_of_definition,
     leading_coefficients,
-    numeric_crosscheck,
     reconstruct,
     render_equation,
     roundtrip_verify,
@@ -40,9 +39,9 @@ print(f"field: {field_of_definition(ext).field_description}")
 for choice in ("plus", "minus"):
     rec = reconstruct(ext, choice)
     print(f"  root {choice}: {render_equation(rec.n, rec.polynomial())}")
-
-check = numeric_crosscheck(ext)
-print(f"float crosscheck deviation {check.max_relative_deviation:.2e} (passed={check.passed})")
+    # the exact certificate: the rebuilt coefficients alone give back the invariants
+    certificate = rec.invariant_values()
+    print(f"    certificate {[str(v) for v in certificate]}: exact match = {certificate == ext.values}")
 
 # On the degenerate locus the two roots collide and reconstruction refuses.
 flat = compute_invariants((Fraction(1), Fraction(1)), 2, 2)

@@ -3,8 +3,8 @@
 The pipeline: validate a curve, detect the decimated normal form, compute the
 dihedral invariants of its interior coefficients, decide whether the field of
 moduli already carries a model, and rebuild an explicit equation over the
-minimal field (at worst a quadratic extension).  Everything is exact; floats
-only appear in the optional numeric crosscheck.
+minimal field (at worst a quadratic extension).  Everything is exact, and
+no float enters any result.
 
 >>> from superelliptic import parse_equation, validate, invariants_for_curve
 >>> n, f = parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1")
@@ -25,7 +25,6 @@ from .curve import (
     validate,
 )
 from .dihedral import (
-    CrosscheckReport,
     DegenerateLocusError,
     DihedralInvariants,
     FieldReport,
@@ -38,7 +37,6 @@ from .dihedral import (
     field_of_definition,
     invariants_for_curve,
     leading_coefficients,
-    numeric_crosscheck,
     reconstruct,
     roundtrip_verify,
 )
@@ -66,7 +64,6 @@ from .poly import DeltaSupport, Poly, delta_support, discriminant, resultant
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrosscheckReport",
     "CurveValidationError",
     "DegenerateLocusError",
     "DeltaSupport",
@@ -100,7 +97,6 @@ __all__ = [
     "invariants_for_curve",
     "is_perfect_square",
     "leading_coefficients",
-    "numeric_crosscheck",
     "parse_equation",
     "rational_nth_root",
     "reconstruct",

@@ -286,6 +286,12 @@ def _cmd_reconstruct(args) -> dict:
         raise ValueError(f"the rebuilt equation would have degree {degree}, above MAX_DEGREE = {MAX_DEGREE}")
     plus, minus = leading_coefficients(inv)
     rec = reconstruct(inv, inputs["root"])
+    if rec.leading_coefficient == 0:
+        other = "plus" if rec.root_choice == "minus" else "minus"
+        raise ValueError(
+            f"the {rec.root_choice} root is 0, which rebuilds y^{inv.n} = 1, not a curve; "
+            f"use --root {other} (root {plus if other == 'plus' else minus})"
+        )
     return {
         "inputs": {**inputs, "invariants": list(inv.values)},
         **_field_section(inv),

@@ -215,14 +215,40 @@ class ReconstructedCurve:
         coeffs[self.delta * (self.s + 1)] = self.leading_coefficient
         return Poly(coeffs)
 
+    def invariant_values(self) -> tuple:
+        """The invariants (s_1, ..., s_s) of the rebuilt equation, from its coefficients alone.
+
+        This is the exact certificate of a reconstruction.  Writing c_s = L,
+        the rebuilt equation is the normal form a rescaled by a_s with
+        c_i = a_i * a_s**i and L = a_s**(s+1), so the invariant formula reads
+
+            s_i = c_1**(s+1-i) * c_i / L + c_{s+1-i},
+
+        which needs no (s+1)-th root and holds over Q and Q(sqrt(d)) alike.
+        A reconstruction is right exactly when this equals the tuple it was
+        rebuilt from, whichever root it used.  ``reconstruct`` gives L = 0
+        only when s_s = 0, and then every c_i is 0 too: the equation is
+        y**n = 1, which determines no invariants.  L = 0 raises ValueError.
+        """
+        lead = self.leading_coefficient
+        if lead == 0:
+            raise ValueError("leading coefficient 0: the rebuilt equation y^n = 1 determines no invariants")
+        inverse = 1 / lead
+        c = (*self.interior_coefficients, lead)
+        s = self.s
+        return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
+
 
 def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> ReconstructedCurve:
     """Rebuild an equation over the minimal field from the invariants.
 
     ``root_choice`` picks which quadratic root becomes the leading
-    coefficient; the two choices give the two dihedral normalizations of the
-    same curve (reversing the interior tuple swaps them).  On the degenerate
-    locus (discriminant 0) reconstruction is refused.
+    coefficient.  When both roots are nonzero, the two choices give the two
+    dihedral normalizations of the same curve (reversing the interior tuple
+    swaps them).  A root of 0 occurs exactly when s_s = 0; choosing it
+    rebuilds y**n = 1, which is not a curve, and only the other root gives
+    one.  On the degenerate locus (discriminant 0) reconstruction is
+    refused.
     """
     if root_choice not in ("plus", "minus"):
         raise ValueError(f"root_choice must be 'plus' or 'minus', got {root_choice!r}")
@@ -235,10 +261,10 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
     plus, minus = leading_coefficients(inv)
     lead = plus if root_choice == "plus" else minus
     head, tail = inv.values[0], inv.values[-1]
-    # difference of the two quadratic roots; nonzero off the degenerate locus
-    gap = head - 2 * lead
+    # one inverse of the difference of the two quadratic roots, nonzero off the degenerate locus
+    inverse = 1 / (head - 2 * lead)
     interior = tuple(
-        (tail**i * inv.values[i - 1] / 2**i - lead * inv.values[s - i]) / gap
+        (tail**i * inv.values[i - 1] / 2**i - lead * inv.values[s - i]) * inverse
         for i in range(1, s)
     )
     return ReconstructedCurve(lead, interior, inv.n, inv.delta, s, root_choice)
@@ -299,83 +325,19 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
             checks=checks,
         )
     checks += 1
-    # independent consistency pass: re-derive each invariant from the products
-    tail = inv.values[-1]
-    if tail != 0:
-        cofactor = inv.values[0] - target
-
-        def product(j: int):
-            if j == s:
-                return target
-            return rec.interior_coefficients[j - 1]
-
-        for i in range(1, s):
-            recomputed = cofactor * product(i) / (tail / 2) ** i + product(s + 1 - i)
-            if recomputed != inv.values[i - 1]:
+    # The certificate adds s_1..s_(s-1) when s_s = 2*a_1*a_s != 0 (s_s = 2*c_1
+    # repeats the c_1 check above); with a_1 = 0 or a_s = 0 it is skipped.
+    if inv.values[-1] != 0:
+        for i, (got, expected) in enumerate(zip(rec.invariant_values()[:-1], inv.values), start=1):
+            if got != expected:
                 return RoundtripReport(
                     status="fail",
-                    reason=f"product consistency broke at index {i}",
+                    reason=f"certificate: the rebuilt equation gives s_{i} = {got}, not {expected}",
                     root_choice=choice,
                     checks=checks,
                 )
             checks += 1
     return RoundtripReport(status="pass", root_choice=choice, checks=checks)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Floating-point replay of a reconstruction against the exact invariants."""
-
-    max_relative_deviation: float
-    passed: bool
-    root_choice: str
-    switched_root: bool = False
-
-
-def numeric_crosscheck(
-    inv: DihedralInvariants, root_choice: str = "minus", threshold: float = 1e-9
-) -> CrosscheckReport:
-    """Embed the reconstruction into complex floats and recompute the invariants.
-
-    Recovers a numeric interior tuple from the reconstructed coefficients
-    (any (s+1)-th root branch of the leading coefficient works, since the
-    invariants are blind to that choice), then measures the worst relative
-    deviation of the recomputed invariants from the exact ones.  A leading
-    coefficient of exactly 0 carries no branch information, so the companion
-    root is used instead and flagged.
-    """
-    if field_of_definition(inv).is_degenerate:
-        raise DegenerateLocusError("degenerate locus: nothing to crosscheck")
-    s = inv.s
-    plus, minus = leading_coefficients(inv)
-    lead = plus if root_choice == "plus" else minus
-    switched = False
-    if lead == 0:
-        root_choice = "minus" if root_choice == "plus" else "plus"
-        lead = plus if root_choice == "plus" else minus
-        switched = True
-    rec = reconstruct(inv, root_choice)
-    last = complex(lead) ** (1.0 / (s + 1))
-    first = complex(inv.values[-1]) / 2 / last
-    numeric = [first]
-    for i in range(2, s):
-        numeric.append(complex(rec.interior_coefficients[i - 1]) / last**i)
-    numeric.append(last)
-    worst = 0.0
-    for i in range(1, s + 1):
-        value = (
-            numeric[0] ** (s + 1 - i) * numeric[i - 1]
-            + numeric[-1] ** (s + 1 - i) * numeric[s - i]
-        )
-        exact = complex(inv.values[i - 1])
-        deviation = abs(value - exact) / max(1.0, abs(exact))
-        worst = max(worst, deviation)
-    return CrosscheckReport(
-        max_relative_deviation=worst,
-        passed=worst < threshold,
-        root_choice=root_choice,
-        switched_root=switched,
-    )
 
 
 def invariants_for_curve(curve: SuperellipticCurve, delta: int | None = None):

@@ -1,9 +1,7 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line per
-criterion with its elapsed time.  Every comparison here is exact unless the
-check is explicitly about the floating-point crosscheck, whose threshold is
-1e-9.
+criterion with its elapsed time.  Every comparison here is exact.
 """
 
 import contextlib
@@ -27,7 +25,6 @@ from superelliptic.dihedral import (
     dihedral_discriminant,
     field_of_definition,
     leading_coefficients,
-    numeric_crosscheck,
     reconstruct,
     roundtrip_verify,
 )
@@ -118,7 +115,7 @@ def test_criterion_2_roundtrip_suite():
     assert "144/65" in readme.read_text(encoding="utf-8")
 
 
-@criterion(3, "quadratic-field path (1,1): F(sqrt(2)), exact roots, crosscheck", budget=1.0)
+@criterion(3, "quadratic-field path (1,1): F(sqrt(2)), exact roots, exact certificate", budget=1.0)
 def test_criterion_3_quadratic_field_path():
     inv = DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)
     assert dihedral_discriminant(inv) == 32
@@ -136,9 +133,9 @@ def test_criterion_3_quadratic_field_path():
         assert value == 0
 
     for choice in ("plus", "minus"):
-        check = numeric_crosscheck(inv, choice)
-        assert check.passed
-        assert check.max_relative_deviation < 1e-9
+        rec = reconstruct(inv, choice)
+        assert isinstance(rec.leading_coefficient, QuadExt)
+        assert rec.invariant_values() == inv.values
 
 
 @criterion(4, "degenerate locus: 100 constructed tuples, zero discriminant throughout")

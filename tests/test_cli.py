@@ -100,6 +100,19 @@ def test_reconstruct_rational_and_extension(capsys):
     assert "sqrt(2)" in doc["equation"]
 
 
+def test_reconstruct_refuses_a_zero_root(capsys):
+    # y^2 = x^6 + 3x^4 + 1 has invariants (27, 0); its minus root 0 would rebuild y^2 = 1
+    code, doc, _ = run_json(capsys, "reconstruct", "--invariants", "27,0")
+    assert code == 1
+    assert doc["error"]["code"] == "invalid_input"
+    assert "minus root is 0" in doc["error"]["message"]
+    assert "--root plus (root 27)" in doc["error"]["message"]
+
+    code, doc, _ = run_json(capsys, "reconstruct", "--invariants", "27,0", "--root", "plus")
+    assert code == 0
+    assert doc["equation"] == "y^2 = 27*x^6 + 27*x^4 + 1"
+
+
 def test_roundtrip_explicit_tuple(capsys):
     code, doc, _ = run_json(capsys, "roundtrip", "--a", "2,1")
     assert code == 0

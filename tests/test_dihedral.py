@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -19,7 +20,6 @@ from superelliptic.dihedral import (
     field_of_definition,
     invariants_for_curve,
     leading_coefficients,
-    numeric_crosscheck,
     reconstruct,
     roundtrip_verify,
 )
@@ -175,6 +175,7 @@ def test_reconstruct_on_quadratic_extension():
     poly = rec.polynomial()
     assert poly.coefficient(0) == 1
     assert poly.coefficient(4) == lead and poly.coefficient(6) == lead
+    assert rec.invariant_values() == inv.values
 
 
 def count_analysis_calls(monkeypatch):
@@ -198,7 +199,7 @@ def test_each_tuple_is_analysed_once_whatever_the_order(monkeypatch):
         leading_coefficients,
         lambda inv: reconstruct(inv, "plus"),
         lambda inv: reconstruct(inv, "minus"),
-        numeric_crosscheck,
+        lambda inv: reconstruct(inv, "plus").invariant_values(),
     ]
     for order in itertools.permutations(steps):
         inv = DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)  # discriminant 32, not a square
@@ -270,23 +271,51 @@ def test_degenerate_family_is_detected():
         assert field_of_definition(inv).is_degenerate
 
 
-def test_numeric_crosscheck_cases():
-    assert numeric_crosscheck(compute_invariants([2, 1], 2, 2), "minus").passed
-    assert numeric_crosscheck(DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)).passed
-    switched = numeric_crosscheck(compute_invariants([0, 3], 2, 2), "minus")
-    assert switched.passed and switched.switched_root and switched.root_choice == "plus"
+def test_certificate_cases():
+    inv = compute_invariants([2, 1], 2, 2)
+    assert reconstruct(inv, "minus").invariant_values() == inv.values
+    ext = DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)
+    for choice in ("plus", "minus"):
+        assert reconstruct(ext, choice).invariant_values() == ext.values
+    # (27, 0): the minus root is 0 and rebuilds y^2 = 1; only the plus root is a curve
+    zero_root = compute_invariants([0, 3], 2, 2)
+    assert reconstruct(zero_root, "plus").invariant_values() == zero_root.values
+    with pytest.raises(ValueError, match="leading coefficient 0"):
+        reconstruct(zero_root, "minus").invariant_values()
     with pytest.raises(DegenerateLocusError):
-        numeric_crosscheck(compute_invariants([1, 1], 2, 2))
+        reconstruct(compute_invariants([1, 1], 2, 2))
 
 
-@settings(max_examples=60)
+def test_certificate_rejects_a_wrong_equation():
+    inv = DihedralInvariants((Fraction(1), Fraction(5), Fraction(-2), Fraction(1)), 2, 2)
+    assert not field_of_definition(inv).is_square
+    plus, minus = leading_coefficients(inv)
+    rec = reconstruct(inv, "plus")
+    assert rec.invariant_values() == inv.values
+
+    c = rec.interior_coefficients
+    perturbed = dataclasses.replace(rec, interior_coefficients=(c[0], c[1] + Fraction(1, 3), c[2]))
+    assert perturbed.invariant_values() != inv.values
+    # for s >= 3 the interior coefficients pin the root; for s = 2 they do not (c_1 = s_2/2 for both)
+    swapped = dataclasses.replace(rec, leading_coefficient=minus)
+    assert swapped.invariant_values() != inv.values
+    with pytest.raises(ValueError, match="leading coefficient 0"):
+        dataclasses.replace(rec, leading_coefficient=Fraction(0)).invariant_values()
+
+
+@settings(max_examples=300)
 @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=2, max_size=5))
-def test_numeric_crosscheck_on_sampled_invariants(vals):
+def test_certificate_on_sampled_invariants(vals):
     inv = DihedralInvariants(tuple(vals), 2, 2)
     if dihedral_discriminant(inv) == 0 or roots_or_none(inv) is None:
         return
     for choice in ("plus", "minus"):
-        assert numeric_crosscheck(inv, choice).passed
+        rec = reconstruct(inv, choice)
+        if rec.leading_coefficient == 0:
+            with pytest.raises(ValueError):
+                rec.invariant_values()
+        else:
+            assert rec.invariant_values() == inv.values
 
 
 def test_invariants_for_curve_chains_classification():
