@@ -172,59 +172,49 @@ def _odd_sieve(lo: int, hi: int) -> bytearray:
     return flags
 
 
-def _window_products(first: int, last: int, bound: int) -> list[int]:
+def _window_products(first: int, last: int) -> list[int]:
     """Products of the primes in windows first..last-1, sieved in one pass.
 
-    Window k is [k*_WINDOW, (k+1)*_WINDOW), clipped at the bound.
+    Window k is [k*_WINDOW, (k+1)*_WINDOW), clipped at DEFAULT_FACTOR_BOUND.
     """
-    flags = memoryview(_odd_sieve(first * _WINDOW, min(last * _WINDOW, bound + 1)))
+    end = DEFAULT_FACTOR_BOUND + 1
+    flags = memoryview(_odd_sieve(first * _WINDOW, min(last * _WINDOW, end)))
     products = []
     for k in range(first, last):
         lo = k * _WINDOW
-        odd = range(lo + 1, min(lo + _WINDOW, bound + 1), 2)
+        odd = range(lo + 1, min(lo + _WINDOW, end), 2)
         products.append(math.prod(compress(odd, flags[(lo - first * _WINDOW) // 2 :])) * (2 if k == 0 else 1))
     return products
 
 
-#: Window products of the default bound built so far, extended on demand.
+#: Window products built so far, extended on demand.
 #: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
 _kept_products: tuple[int, ...] = ()
 _DEFAULT_WINDOWS = DEFAULT_FACTOR_BOUND // _WINDOW + 1
 
 
 def _kept_product(k: int) -> int:
-    """Window k of the default bound; a missing window doubles the kept prefix."""
+    """Window k's product; a missing window doubles the kept prefix."""
     global _kept_products
     kept = _kept_products
     if k >= len(kept):
         last = min(max(k + 1, 2 * len(kept)), _DEFAULT_WINDOWS)
-        kept += tuple(_window_products(len(kept), last, DEFAULT_FACTOR_BOUND))
+        kept += tuple(_window_products(len(kept), last))
         _kept_products = kept
     return kept[k]
 
 
-def _prime_windows(bound: int):
-    """Yield (hi, product of the primes in [lo, hi)) for windows [lo, hi) covering [2, bound]."""
-    for k in range(bound // _WINDOW + 1 if bound >= 2 else 0):
-        if bound == DEFAULT_FACTOR_BOUND:
-            product = _kept_product(k)
-        else:
-            (product,) = _window_products(k, k + 1, bound)
-        yield min(k * _WINDOW + _WINDOW, bound + 1), product
-
-
-def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> SquarefreeDecomposition:
+def squarefree_decompose(x) -> SquarefreeDecomposition:
     """Write nonzero rational x as d * r**2 with d a squarefree integer, r > 0.
 
-    Every prime up to ``factor_bound`` is stripped by batch trial division:
-    the range is cut into windows of 4096 consecutive integers, and one gcd
-    of what is left against the product of a window's primes finds all of
-    them that divide it; a chain of gcds then reads off their exponents.
-    The walk stops early once the next window starts above the square root
-    of what is left.  The window products of the default bound (~180 KB)
-    are built on first use, a doubling prefix at a time, and kept; nothing
-    is built at import.  Any other bound sieves its windows one at a time on
-    each call and keeps none.
+    Every prime up to ``DEFAULT_FACTOR_BOUND`` is stripped by batch trial
+    division: the range is cut into windows of 4096 consecutive integers,
+    and one gcd of what is left against the product of a window's primes
+    finds all of them that divide it; a chain of gcds then reads off their
+    exponents.  The walk stops early once the next window starts above the
+    square root of what is left.  The window products (~180 KB) are built
+    on first use, a doubling prefix at a time, and kept; nothing is built
+    at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below 3.3e24 (~81 bits) the 13-base
@@ -241,10 +231,10 @@ def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Squa
     sign = -1 if x < 0 else 1
     squarefree = 1
     root = 1
-    reach = 2  # every prime below reach has been divided out
-    for reach, product in _prime_windows(math.floor(factor_bound)):
+    for k in range(_DEFAULT_WINDOWS):
+        reach = min((k + 1) * _WINDOW, DEFAULT_FACTOR_BOUND + 1)  # every prime below reach is divided out
         # g holds the primes of the window with exponent >= j in n, for j = 1, 2, ...
-        g = math.gcd(n, product)
+        g = math.gcd(n, _kept_product(k))
         odd = True
         while g > 1:
             n //= g
@@ -266,7 +256,7 @@ def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Squa
                 root *= s
             elif n.bit_length() > MAX_COFACTOR_BITS:
                 raise FactorBoundExceededError(
-                    f"a {n.bit_length()}-bit cofactor has no factor <= {factor_bound} and is "
+                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} and is "
                     f"longer than the {MAX_COFACTOR_BITS}-bit limit of the primality test"
                 )
             elif _is_probable_prime(n):
@@ -274,7 +264,7 @@ def squarefree_decompose(x, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Squa
             else:
                 # described by size: str() of a cofactor over 4300 digits raises ValueError
                 raise FactorBoundExceededError(
-                    f"a {n.bit_length()}-bit cofactor has no factor <= {factor_bound} "
+                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} "
                     "and is neither prime nor a prime square"
                 )
     return SquarefreeDecomposition(sign * squarefree, Fraction(root, x.denominator))

@@ -64,9 +64,9 @@ class Poly:
         return cls(out)
 
     @property
-    def degree(self):
-        """Degree as an int; the zero polynomial gets -inf so max() composes."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+    def degree(self) -> int:
+        """Degree as an int; the zero polynomial gets -1."""
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -267,40 +267,25 @@ def delta_support(p: Poly) -> tuple[DeltaSupport, ...]:
 
     Entries with delta = 1 are included so callers can see the trivial fit,
     but anything useful needs delta >= 2.  A polynomial with a nonzero
-    constant term can only fit residue 0; one with support {1} only the
-    trivial residue-0 reading is reported for, since g would be constant.
+    constant term can only fit residue 0.  Without one, residue 0 is
+    reported only for delta >= 2 and residue 1 for every delta; support
+    {1} fits neither (g would be constant) and gives ().
     """
     support = p.support()
     if not support:
         raise ValueError("the zero polynomial has no support pattern")
     d = support[-1]
-    out: list[DeltaSupport] = []
-    if p.coefficient(0):
-        positive = [e for e in support if e]
-        if positive:
-            g = 0
-            for e in positive:
-                g = math.gcd(g, e)
-            for delta in sorted(_divisors(g), reverse=True):
-                out.append(DeltaSupport(delta, 0, d // delta - 1))
-        return tuple(out)
-    # no constant term: residue 1 via gcd of (e - 1), residue 0 still possible
-    g0 = 0
-    for e in support:
-        g0 = math.gcd(g0, e)
-    g1 = 0
-    for e in support:
-        g1 = math.gcd(g1, e - 1)
-    candidates: list[DeltaSupport] = []
-    if g0 >= 2:
-        for delta in _divisors(g0):
-            if delta >= 2:
-                candidates.append(DeltaSupport(delta, 0, d // delta - 1))
-    if g1 >= 1:
-        for delta in _divisors(g1):
-            candidates.append(DeltaSupport(delta, 1, (d - 1) // delta))
-    candidates.sort(key=lambda c: (-c.delta, c.residue))
-    return tuple(candidates)
+    constant = support[0] == 0
+    out = []
+    for r in (0,) if constant else (0, 1):
+        g = math.gcd(*(e - r for e in support))
+        out += [
+            DeltaSupport(delta, r, (d - r) // delta - 1 + r)
+            for delta in _divisors(g)
+            if delta >= 2 or r == 1 or constant
+        ]
+    out.sort(key=lambda c: (-c.delta, c.residue))
+    return tuple(out)
 
 
 def _divisors(n: int) -> list[int]:

@@ -120,6 +120,10 @@ def test_roundtrip_explicit_tuple(capsys):
     assert doc["root_choice"] == "minus"
     assert doc["checks"] == 3
     assert doc["reason"] is None
+    # a_1 = 0: s_s = 0, but L = 1 != 0, so the certificate still adds s_1
+    code, doc, _ = run_json(capsys, "roundtrip", "--a", "0,1")
+    assert code == 0
+    assert (doc["status"], doc["root_choice"], doc["checks"]) == ("pass", "plus", 3)
 
 
 def test_roundtrip_random_is_seeded_and_deterministic(capsys):

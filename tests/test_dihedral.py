@@ -231,6 +231,33 @@ def test_roundtrip_s1_zero_regression():
     assert roundtrip_verify([1, -1], 2, 2).status == "pass"
 
 
+def test_roundtrip_reports_each_fail(monkeypatch):
+    # a = (2, 3, 1) rebuilds with L = 1 and c = (2, 3): 1 root check, 2 coefficients, s_1 and s_2
+    a = [2, 3, 1]
+    assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("pass", None, "minus", 5)
+    with monkeypatch.context() as m:
+        m.setattr(dihedral, "leading_coefficients", lambda inv: (Fraction(5), Fraction(7)))
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
+            "fail", "neither quadratic root equals the forward value 1", None, 0
+        )
+    with monkeypatch.context() as m:
+        def off_by_one(inv, choice):
+            rec = reconstruct(inv, choice)
+            c = rec.interior_coefficients
+            return dataclasses.replace(rec, interior_coefficients=(c[0], c[1] + 1))
+
+        m.setattr(dihedral, "reconstruct", off_by_one)
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
+            "fail", "coefficient 2: reconstructed 4, forward value 3", "minus", 2
+        )
+    with monkeypatch.context() as m:
+        wrong = (Fraction(18), Fraction(15), Fraction(4))
+        m.setattr(dihedral.ReconstructedCurve, "invariant_values", lambda rec: wrong)
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
+            "fail", "certificate: the rebuilt equation gives s_1 = 18, not 17", "minus", 3
+        )
+
+
 @settings(max_examples=300)
 @given(tuples)
 def test_roundtrip_passes_or_skips(a):
