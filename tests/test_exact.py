@@ -199,6 +199,9 @@ def test_cofactor_length_limit():
     assert squarefree_decompose(Fraction(prime**2, 5)) == SquarefreeDecomposition(5, Fraction(prime, 5))
     with pytest.raises(FactorBoundExceededError, match="a 2203-bit cofactor .* 2048-bit limit"):
         squarefree_decompose(2**2203 - 1)
+
+
+def test_factor_bound_error_on_a_cofactor_too_long_to_print():
     # str() of an int over 4300 digits raises ValueError; the message gives the size instead
     too_long = "a 19932-bit cofactor has no factor <= 1000000 and is longer"
     with pytest.raises(FactorBoundExceededError, match=too_long):
