@@ -21,7 +21,6 @@ from .curve import (
     SuperellipticCurve,
     classify_normal_form,
     genus,
-    rescale_x,
     validate,
 )
 from .dihedral import (
@@ -102,7 +101,6 @@ __all__ = [
     "reconstruct",
     "render_equation",
     "render_polynomial",
-    "rescale_x",
     "resultant",
     "roundtrip_verify",
     "squarefree_decompose",

@@ -9,12 +9,12 @@ floats), and quadratic-field elements as ``{"a": "p/q", "b": "p/q", "d": n}``.
 Equation-taking commands accept the equation text as a positional argument,
 or ``-`` to read a JSON object from stdin (key ``"equation"``, optional
 ``"delta"``).  Invariant-taking commands accept ``--invariants p/q,p/q,...``
-or ``-`` for stdin JSON (keys ``"invariants"``, ``"n"``, ``"delta"``,
-optional ``"root"``).  A set flag wins over stdin, stdin over the default.
-A rational is a JSON integer or ``[+-]digits[/digits]`` text (no exponents
-or decimals).  ``reconstruct`` refuses a rebuilt degree ``delta*(s+1)``
-above ``MAX_DEGREE``.  Every document, errors included, carries
-``schema_version`` and ``command``.
+or ``-`` for stdin JSON (keys ``"invariants"``, ``"n"``, ``"delta"``, and
+for ``reconstruct`` an optional ``"root"``).  A set flag wins over stdin,
+stdin over the default.  A rational is a JSON integer or
+``[+-]digits[/digits]`` text (no exponents or decimals).  ``reconstruct``
+refuses a rebuilt degree ``delta*(s+1)`` above ``MAX_DEGREE``.  Every
+document, errors included, carries ``schema_version`` and ``command``.
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ _STDIN_TYPES = {"equation": (str,), "invariants": (str, list), "n": (int,), "del
 #: is required), the message when that key is given nowhere, and whether the
 #: positional is that key's value ("-" always means stdin JSON).
 _EQUATION_INPUTS = ({"equation": None, "delta": None}, 'stdin JSON needs an "equation" key', True)
-_INVARIANT_INPUTS = ({"invariants": None, "n": 2, "delta": 2, "root": "minus"},
-                     "no invariants given; use --invariants or stdin JSON", False)
+_NO_INVARIANTS = "no invariants given; use --invariants or stdin JSON"
 _INPUTS = {"invariants": _EQUATION_INPUTS, "classify": _EQUATION_INPUTS,
-           "field": _INVARIANT_INPUTS, "reconstruct": _INVARIANT_INPUTS}
+           "field": ({"invariants": None, "n": 2, "delta": 2}, _NO_INVARIANTS, False),
+           "reconstruct": ({"invariants": None, "n": 2, "delta": 2, "root": "minus"}, _NO_INVARIANTS, False)}
 
 
 def _merged_input(args) -> dict:

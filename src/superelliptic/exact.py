@@ -12,8 +12,8 @@ library does not have:
 
 Squarefree decomposition is described in :func:`squarefree_decompose`.
 
-No floats appear anywhere in this module; every operation is exact and every
-value is immutable.
+No floats appear anywhere in this module: a float input raises TypeError,
+every operation is exact and every value is immutable.
 """
 
 from __future__ import annotations
@@ -375,9 +375,6 @@ class QuadExt:
     def __neg__(self):
         return QuadExt._of(-self.a, -self.b, self.d)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
@@ -416,16 +413,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def __complex__(self):
-        import cmath
-
-        return complex(self.a) + complex(self.b) * cmath.sqrt(complex(self.d))
-
-    def __float__(self):
-        if self.d < 0:
-            raise ValueError("element of an imaginary quadratic field has no float value")
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __str__(self):
         if self.b == 0:

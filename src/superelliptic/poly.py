@@ -146,14 +146,8 @@ class Poly:
                     rem[i + j] = rem[i + j] - q * d
         return Poly(quo), Poly(rem[: len(den) - 1])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def scale(self, factor) -> "Poly":
-        return Poly([c * factor for c in self.coeffs])
 
     def scale_x(self, r) -> "Poly":
         """The polynomial p(r*x)."""
@@ -289,8 +283,6 @@ def delta_support(p: Poly) -> tuple[DeltaSupport, ...]:
 
 
 def _divisors(n: int) -> list[int]:
-    if n <= 0:
-        return []
     out = set()
     i = 1
     while i * i <= n:

@@ -234,6 +234,16 @@ def test_stdin_json_types_are_strict(capsys, monkeypatch, payload, key):
     assert f'"{key}"' in doc["error"]["message"]
 
 
+def test_field_ignores_a_stdin_root(capsys, monkeypatch):
+    # only reconstruct reads "root"; field neither type-checks nor echoes it
+    outputs = []
+    for payload in ({"invariants": "1,1", "root": 5}, {"invariants": "1,1"}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        outputs.append(run(capsys, "field", "-"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_stdin_json_nested_too_deeply_is_an_input_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
     code, doc, _ = run_json(capsys, "field", "-")
@@ -305,6 +315,24 @@ def test_outside_numerals_are_refused_quickly(capsys, argv, code):
     assert time.perf_counter() - start < 1
     assert exit_code == 1 and err == ""
     assert doc["error"]["code"] == code
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("roundtrip", "--a", "2,1", "--random", "3"), "either --a or --random"),
+        (("roundtrip", "--random", "0"), "positive count"),
+        (("roundtrip",), "no tuple given"),
+        (("field", "--invariants", ","), "nonempty comma-separated list"),
+    ],
+    ids=["tuple_and_random", "zero_random", "no_tuple", "empty_invariants"],
+)
+def test_argument_refusals_are_input_errors(capsys, argv, fragment):
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 1 and err == ""
+    assert doc["command"] == argv[0]
+    assert doc["error"]["code"] == "invalid_input"
+    assert fragment in doc["error"]["message"]
 
 
 def test_reconstruct_refuses_an_equation_above_max_degree(capsys):

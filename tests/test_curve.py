@@ -3,8 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from superelliptic.curve import (
     G_DELTA,
@@ -13,7 +11,6 @@ from superelliptic.curve import (
     SuperellipticCurve,
     classify_normal_form,
     genus,
-    rescale_x,
     validate,
 )
 from superelliptic.poly import Poly
@@ -93,21 +90,6 @@ def test_validation_conditions_toggle_independently():
 def test_direct_construction_also_validates():
     with pytest.raises(CurveValidationError):
         SuperellipticCurve(2, Poly([1, 1]))
-
-
-def test_rescale_examples():
-    curve = validate(2, GENUS2_SEXTIC)
-    assert rescale_x(curve, 1) == curve
-    scaled = rescale_x(validate(2, Poly([1, 0, 0, 0, 0, 0, 64])), Fraction(1, 2))
-    assert scaled.f == Poly([1, 0, 0, 0, 0, 0, 1])
-    with pytest.raises(ValueError):
-        rescale_x(curve, 0)
-
-
-@given(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
-def test_rescale_roundtrips(r):
-    curve = validate(2, GENUS2_SEXTIC)
-    assert rescale_x(rescale_x(curve, r), 1 / r) == curve
 
 
 def test_classify_reference_curves():

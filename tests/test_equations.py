@@ -62,6 +62,7 @@ def test_parse_sums_repeated_exponents():
         ("y^2 = x^4 ~ 1", "unexpected character", 10),
         ("y^2 = x^4 1", "expected '+' or '-'", 10),
         ("y^2 = x^", "expected an exponent", 8),
+        ("y^2 = 2*3", "expected x", 8),
         ("y^2 = x^10001 + 1", "exceeds MAX_DEGREE", 8),
         pytest.param("y^2 = x^" + "9" * 5000, "exceeds MAX_DEGREE", 8, id="exponent-of-5000-digits"),
         pytest.param("y^2 = x^6 + " + "9" * 5000, "more than 4300 digits", 12, id="coefficient-of-5000-digits"),
