@@ -393,8 +393,9 @@ def test_any_stdin_json_ends_in_one_structured_document(command, document):
     """Arbitrary JSON on stdin gives exit 0 or 1 and one enveloped document.
 
     The equation text comes from a fixed list: arbitrary equation text is out
-    of scope here, because validating a dense high-degree f has no time bound
-    yet (the remainder coefficients of its discriminant grow).
+    of scope here, because validating a dense f still has no time bound up to
+    MAX_DEGREE: its exact discriminant takes seconds from degree ~200 on, and
+    the cost grows more than tenfold per doubling of the degree.
     """
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin

@@ -153,6 +153,11 @@ def random_poly(rng, degree):
     return Poly(coeffs + [lead])
 
 
+def substitute_power(g, k):
+    """g(x^k)."""
+    return Poly([g.coeffs[i // k] if i % k == 0 else 0 for i in range(k * g.degree + 1)])
+
+
 def oracle_polys():
     """Seeded rational polynomials of degree 1..12 in the shapes validation sees."""
     rng = random.Random(2014)
@@ -160,7 +165,7 @@ def oracle_polys():
     for _ in range(15):
         delta = rng.randint(2, 4)
         g = random_poly(rng, rng.randint(1, 11 // delta))
-        f = Poly([g.coeffs[i // delta] if i % delta == 0 else 0 for i in range(delta * g.degree + 1)])
+        f = substitute_power(g, delta)
         out.append(f)  # g(x^delta)
         out.append(Poly([0, *f.coeffs]))  # x*g(x^delta)
     for _ in range(15):
@@ -181,13 +186,72 @@ def test_resultant_matches_sympy_exactly():
         pairs.append((shared * p, shared * q))
     pairs += [(c, p) for c, p in zip(constants, polys)] + [(p, c) for c, p in zip(constants, polys[6:])]
     pairs += [(constants[0], constants[1])]
+    # large rational content on either side, so content * primitive part is checked
+    big, small = Poly([Fraction(10**9, 7)]), Poly([Fraction(-7, 10**9 + 7)])
+    pairs += [(big * p, q) for p, q in pairs[:10]] + [(p, small * q) for p, q in pairs[10:20]]
+    pairs += [(big * p, small * q) for p, q in pairs[60:70]] + [(big, small * polys[0]), (big * polys[1], small)]
+    gapped = gapped_polys()
+    pairs += list(zip(gapped, gapped[1:]))
     for p, q in pairs:
         assert resultant(p, q) == sympy_resultant(p, q), (p, q)
 
 
+def decimated_polys():
+    """The shapes the g(x^k) reduction of ``discriminant`` takes apart.
+
+    g(x^k) for k in 2..5, with g(0) = 0, with a square planted inside g, and
+    times x (which is not reduced); monomials c*x^d, including degree 1.
+    """
+    rng = random.Random(2026)
+    out = []
+    for k in range(2, 6):
+        for _ in range(4):
+            g = random_poly(rng, rng.randint(1, 4))
+            square = random_poly(rng, rng.randint(1, 2))
+            out.append(substitute_power(g, k))
+            out.append(substitute_power(Poly([0, *g.coeffs]), k))  # g(0) = 0
+            out.append(substitute_power(square * square * random_poly(rng, rng.randint(0, 2)), k))
+            out.append(Poly([0, *substitute_power(g, k).coeffs]))  # x*g(x^k)
+    out += [Poly.monomial(Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 6)), d) for d in range(1, 9)]
+    return out
+
+
+def gapped_polys():
+    """Sparse polynomials with large degree gaps, whose remainder sequences skip degrees."""
+    rng = random.Random(500)
+    out = [Poly.from_terms([(1, d), (rng.randint(1, 9), d // 2), (1, 1), (rng.randint(1, 9), 0)]) for d in (12, 21, 40)]
+    for _ in range(12):
+        d = rng.randint(8, 30)
+        out.append(Poly.from_terms([(1, d)] + [(rng.randint(-9, 9), rng.randint(0, d - 1)) for _ in range(3)]))
+    return out
+
+
+def dense_polys():
+    """Dense monic polynomials of degree 24 and 48 with coefficients up to 10^6."""
+    rng = random.Random(48)
+    return [Poly([rng.randint(-(10**6), 10**6) for _ in range(d)] + [1]) for d in (24, 48)]
+
+
 def test_discriminant_matches_sympy_exactly():
-    for f in oracle_polys():
+    for f in oracle_polys() + decimated_polys() + gapped_polys() + dense_polys():
         assert discriminant(f) == from_sympy(sympy.discriminant(to_sympy(f))), f
+
+
+def test_resultant_and_discriminant_are_defined_over_q_only():
+    root2 = QuadExt(0, 1, 2)
+    line = Poly([1, 1])
+    for quad in (Poly([root2, 1, 1]), Poly([1, root2]), Poly([QuadExt(3, 0, 2), 0, 1])):
+        with pytest.raises(TypeError):
+            resultant(quad, line)
+        with pytest.raises(TypeError):
+            resultant(line, quad)
+        with pytest.raises(TypeError):
+            discriminant(quad)
+    for bad in (Poly.zero(), Poly([3])):
+        with pytest.raises(ValueError):
+            discriminant(bad)
+    with pytest.raises(ValueError):
+        resultant(line, Poly.zero())
 
 
 def test_resultant_is_multiplicative_in_each_slot():
