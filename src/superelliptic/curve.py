@@ -32,27 +32,36 @@ class CurveValidationError(ValueError):
         super().__init__("; ".join(message for _, message in self.violations))
 
 
+def _integer_at_least(value, low: int) -> bool:
+    """True for an int that is not a bool and is at least ``low``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _n_message(n) -> str:
+    return f"the exponent n must be an integer >= 2, got {n!r}"
+
+
 def genus(n: int, d: int) -> int:
     """Genus of y**n = f(x) with f squarefree of degree d, for d > n >= 2.
 
     The value is 1 + (n*d - n - d - gcd(n, d))/2, an integer for all n, d;
     it reduces to (n - 1)*(d - 1)/2 when n and d are coprime.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"the exponent n must be an integer >= 2, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d <= n:
+    if not _integer_at_least(n, 2):
+        raise ValueError(_n_message(n))
+    if not _integer_at_least(d, n + 1):
         raise ValueError(f"the degree d must be an integer > n = {n}, got {d!r}")
     return 1 + (n * d - n - d - math.gcd(n, d)) // 2
 
 
 def _violations(n, f: Poly) -> tuple[tuple[str, str], ...]:
     out = []
-    n_ok = isinstance(n, int) and not isinstance(n, bool) and n >= 2
+    n_ok = _integer_at_least(n, 2)
     if not n_ok:
-        out.append(("invalid_n", f"the exponent n must be an integer >= 2, got {n!r}"))
+        out.append(("invalid_n", _n_message(n)))
     d = f.degree
-    comparable = isinstance(n, int) and not isinstance(n, bool)
-    d_ok = not f.is_zero() and (not comparable or d > n)
+    # deg f must exceed n only when n is an int; any other n is reported above
+    d_ok = not f.is_zero() and not _integer_at_least(n, d)
     if not d_ok:
         if f.is_zero():
             out.append(("degree_not_above_n", "f is the zero polynomial"))
@@ -130,7 +139,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
     """
     patterns = [p for p in delta_support(curve.f) if p.delta >= 2]
     if delta is not None:
-        if not isinstance(delta, int) or isinstance(delta, bool) or delta < 2:
+        if not _integer_at_least(delta, 2):
             raise ValueError(f"the delta override must be an integer >= 2, got {delta!r}")
         matching = [p for p in patterns if p.delta == delta]
         if not matching:

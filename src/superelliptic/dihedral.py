@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .curve import G_DELTA, SuperellipticCurve, classify_normal_form
+from .curve import G_DELTA, SuperellipticCurve, _integer_at_least, _n_message, classify_normal_form
 from .exact import QuadExt, _exact, is_perfect_square, squarefree_decompose
 from .poly import Poly
 
@@ -78,9 +78,9 @@ class DihedralInvariants:
     def __post_init__(self):
         if len(self.values) < 2:
             raise ValueError("invariants need at least 2 entries (s >= 2)")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"the exponent n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.delta, int) or isinstance(self.delta, bool) or self.delta < 2:
+        if not _integer_at_least(self.n, 2):
+            raise ValueError(_n_message(self.n))
+        if not _integer_at_least(self.delta, 2):
             raise ValueError(f"delta must be an integer >= 2, got {self.delta!r}")
         object.__setattr__(self, "values", tuple([_exact(v) for v in self.values]))
 

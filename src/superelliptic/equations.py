@@ -2,14 +2,20 @@
 
 The accepted form is ``y^N = POLY`` where POLY is a sum of terms
 ``[COEF][*]x[^EXP]`` plus optional constants; COEF is an integer or a
-rational ``p/q``; whitespace is ignored everywhere; ``-`` binds to the term
-that follows it.  An exponent of x above ``MAX_DEGREE``, or any numeral of
-more than 4300 digits, is refused with :class:`InputTooLargeError` before
-any polynomial is built.  Examples:
+rational ``p/q``; numerals are ASCII digits ``0-9``; whitespace is ignored
+everywhere; ``-`` binds to the term that follows it.  An exponent of x above
+``MAX_DEGREE``, or any numeral of more than 4300 digits, is refused with
+:class:`InputTooLargeError` before any polynomial is built.  Examples:
 
-    y^2 = x^6 + 2x^4 + 3x^2 + 1
-    y^3 = x^7 + 5*x^4 + x
-    y^2 = -1/2*x^4 + x^2 - 3
+    >>> render_equation(*parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1"))
+    'y^2 = 1*x^6 + 2*x^4 + 3*x^2 + 1'
+    >>> render_equation(*parse_equation("y^3 = x^7 + 5*x^4 + x"))
+    'y^3 = 1*x^7 + 5*x^4 + 1*x^1'
+    >>> render_equation(*parse_equation("y^2 = -1/2*x^4 + x^2 - 3"))
+    'y^2 = -1/2*x^4 + 1*x^2 - 3'
+    >>> parse_equation("y^2 = x^6 + x^²")
+    Traceback (most recent call last):
+    superelliptic.equations.EquationSyntaxError: unexpected character '²' (at position 14)
 
 Rendering produces a canonical string: descending exponents, every
 coefficient written explicitly (so ``1*x^6``, not ``x^6``), every exponent
@@ -55,22 +61,19 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
-        if ch in "xy":
-            tokens.append(("name", ch, i))
-            i += 1
-            continue
-        if ch in "^=+-*/":
+        if ch in "xy^=+-*/":
             tokens.append((ch, ch, i))
             i += 1
             continue
         raise EquationSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -82,107 +85,72 @@ def _numeral(token) -> int:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def _peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def _advance(self):
-        token = self._peek()
-        if token is not None:
-            self.index += 1
+    def _accept(self, *kinds):
+        """Consume and return the next token if its kind is one of ``kinds``, else None."""
+        token = self.tokens[self.index]
+        if token[0] not in kinds:
+            return None
+        self.index += 1
         return token
 
-    def _here(self) -> int:
-        token = self._peek()
-        return token[2] if token is not None else len(self.text)
-
     def _fail(self, message: str):
-        raise EquationSyntaxError(message, self._here())
+        raise EquationSyntaxError(message, self.tokens[self.index][2])
 
-    def _expect(self, kind: str, what: str):
-        token = self._peek()
-        if token is None or token[0] != kind:
-            self._fail(f"expected {what}")
-        return self._advance()
-
-    def _integer(self, what: str) -> int:
-        return _numeral(self._expect("int", what))
+    def _expect(self, what: str, *kinds):
+        return self._accept(*kinds) or self._fail(f"expected {what}")
 
     def parse(self):
-        token = self._peek()
-        if token is None or token[0] != "name" or token[1] != "y":
+        if not self._accept("y"):
             self._fail("the equation must start with y^N")
-        self._advance()
-        self._expect("^", "'^' after y")
-        exponent_token = self._peek()
-        n = self._integer("the exponent N")
+        self._expect("'^' after y", "^")
+        token = self._expect("the exponent N", "int")
+        n = _numeral(token)
         if n < 2:
-            raise EquationSyntaxError(f"the exponent must be at least 2, got {n}", exponent_token[2])
-        self._expect("=", "'='")
-        terms = [self._term(allow_sign=True)]
+            raise EquationSyntaxError(f"the exponent must be at least 2, got {n}", token[2])
+        self._expect("'='", "=")
+        terms = []
         while True:
-            token = self._peek()
-            if token is None:
-                break
-            if token[0] not in ("+", "-"):
-                self._fail(f"expected '+' or '-', got {token[1]!r}")
-            self._advance()
-            term = self._term(allow_sign=False)
-            coeff, exp = term
-            terms.append((-coeff if token[0] == "-" else coeff, exp))
-        return n, Poly.from_terms(terms)
-
-    def _term(self, allow_sign: bool):
-        sign = 1
-        token = self._peek()
-        if allow_sign and token is not None and token[0] in ("+", "-"):
-            self._advance()
-            if token[0] == "-":
+            if self._accept("-"):
                 sign = -1
-            token = self._peek()
-        if token is None:
-            self._fail("expected a term")
-        if token[0] == "int":
-            self._advance()
-            numerator = _numeral(token)
-            coeff = Fraction(numerator)
-            if self._peek() is not None and self._peek()[0] == "/":
-                self._advance()
-                denominator_token = self._peek()
-                denominator = self._integer("a denominator")
-                if denominator == 0:
-                    raise EquationSyntaxError("zero denominator", denominator_token[2])
-                coeff = Fraction(numerator, denominator)
-            following = self._peek()
-            if following is not None and following[0] == "*":
-                self._advance()
-                return sign * coeff, self._power()
-            if following is not None and following[0] == "name":
-                return sign * coeff, self._power()
-            return sign * coeff, 0
-        if token[0] == "name":
-            return sign * Fraction(1), self._power()
-        self._fail("expected a term")
+            elif self._accept("+") or not terms:
+                sign = 1
+            elif self._accept("end"):
+                return n, Poly.from_terms(terms)
+            else:
+                self._fail(f"expected '+' or '-', got {self.tokens[self.index][1]!r}")
+            terms.append(self._term(sign))
 
-    def _power(self) -> int:
-        token = self._peek()
-        if token is None or token[0] != "name":
-            self._fail("expected x")
-        if token[1] != "x":
-            raise EquationSyntaxError("only x may appear on the right side", token[2])
-        self._advance()
-        if self._peek() is not None and self._peek()[0] == "^":
-            self._advance()
-            token = self._expect("int", "an exponent")
-            digits = token[1].lstrip("0") or "0"
-            # compared as text first: int() refuses numerals of over 4300 digits
-            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                raise InputTooLargeError(f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", token[2])
-            return int(digits)
-        return 1
+    def _term(self, sign: int):
+        numeral = self._accept("int")
+        if not numeral:
+            return Fraction(sign), self._power(self._expect("a term", "x", "y"))
+        coeff = Fraction(sign * _numeral(numeral))
+        if self._accept("/"):
+            token = self._expect("a denominator", "int")
+            denominator = _numeral(token)
+            if denominator == 0:
+                raise EquationSyntaxError("zero denominator", token[2])
+            coeff /= denominator
+        if self._accept("*"):
+            return coeff, self._power(self._expect("x", "x", "y"))
+        name = self._accept("x", "y")
+        return coeff, (self._power(name) if name else 0)
+
+    def _power(self, name) -> int:
+        """The exponent after ``name``, the x or y token just read; y is refused here."""
+        if name[0] == "y":
+            raise EquationSyntaxError("only x may appear on the right side", name[2])
+        if not self._accept("^"):
+            return 1
+        token = self._expect("an exponent", "int")
+        digits = token[1].lstrip("0") or "0"
+        # compared as text first: int() refuses numerals of over 4300 digits
+        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+            raise InputTooLargeError(f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", token[2])
+        return int(digits)
 
 
 def parse_equation(text: str):

@@ -141,11 +141,13 @@ def test_roundtrip_random_is_seeded_and_deterministic(capsys):
 
 
 def test_syntax_error_reports_position(capsys):
-    code, doc, _ = run_json(capsys, "invariants", "y^2 = x^4 + z")
-    assert code == 1
-    assert doc["error"]["code"] == "syntax_error"
-    assert doc["error"]["position"] == 12
-    assert doc["command"] == "invariants"
+    # a superscript digit is not a numeral: int() would refuse it with no position
+    for command, text, position in [("invariants", "y^2 = x^4 + z", 12), ("classify", "y^2 = x^6 + 3x^\u00b2+1", 15)]:
+        code, doc, _ = run_json(capsys, command, text)
+        assert code == 1
+        assert doc["error"]["code"] == "syntax_error"
+        assert doc["error"]["position"] == position
+        assert doc["command"] == command
 
 
 def test_invalid_curve_lists_every_violation(capsys):

@@ -1,7 +1,9 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superelliptic.equations import (
@@ -68,6 +70,8 @@ def test_parse_sums_repeated_exponents():
         pytest.param("y^2 = x^6 + " + "9" * 5000, "more than 4300 digits", 12, id="coefficient-of-5000-digits"),
         pytest.param("y^2 = x^6 + 1/" + "9" * 5000, "more than 4300 digits", 14, id="denominator-of-5000-digits"),
         pytest.param("y^" + "9" * 5000 + " = x^6 + 1", "more than 4300 digits", 2, id="n-of-5000-digits"),
+        pytest.param("y^2 = x^6 + x^\u00b2", "unexpected character", 14, id="superscript-exponent"),
+        pytest.param("y^2 = x^6 + \u0663x^2 + 1", "unexpected character", 12, id="arabic-indic-coefficient"),
     ],
 )
 def test_parse_errors_carry_positions(text, fragment, position):
@@ -76,6 +80,49 @@ def test_parse_errors_carry_positions(text, fragment, position):
     assert fragment in str(excinfo.value)
     assert excinfo.value.position == position
     assert str(excinfo.value).endswith(f"(at position {position})")
+
+
+NON_ASCII_DIGITS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdigit() and not chr(c).isascii()]
+
+
+@pytest.mark.parametrize("template", ["y^2 = x^6 + {}x^2 + 1", "y^2 = x^6 + x^{}", "y^{} = x^6 + 1"],
+                         ids=["coefficient", "exponent", "n"])
+def test_numerals_are_ascii_digits(template):
+    # str.isdigit() admits hundreds of other characters; some int() reads, some it refuses
+    assert len(NON_ASCII_DIGITS) > 700
+    position = template.index("{")
+    for digit in NON_ASCII_DIGITS:
+        with pytest.raises(EquationSyntaxError) as excinfo:
+            parse_equation(template.format(digit))
+        assert type(excinfo.value) is EquationSyntaxError
+        assert excinfo.value.position == position
+        assert str(excinfo.value) == f"unexpected character {digit!r} (at position {position})"
+
+
+def test_trailing_whitespace_tokenizes_in_linear_time():
+    # a quadratic lexer takes seconds here; the best of three runs screens out host noise
+    text = "y^2 = x^6 + 1" + " " * 8000
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert parse_equation(text)[0] == 2
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.01
+
+
+FUZZ_ALPHABET = "xy0123456789^=+-*/ ~\t\u00b2\u0663"
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["", "y^", "y^2 = ", "y^2 = x^"]), st.one_of(st.text(), st.text(alphabet=FUZZ_ALPHABET)))
+def test_any_text_parses_or_raises_a_positioned_syntax_error(prefix, tail):
+    text = prefix + tail
+    try:
+        n, f = parse_equation(text)
+    except EquationSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert type(n) is int and isinstance(f, Poly)
 
 
 def test_exponent_cap_is_inclusive():
