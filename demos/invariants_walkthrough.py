@@ -11,12 +11,13 @@ from superelliptic import (
     field_of_definition,
     invariants_for_curve,
     parse_equation,
+    render_equation,
     validate,
 )
 
 n, f = parse_equation("y^2 = x^6 + x^4 + 2x^2 + 1")
 curve = validate(n, f)
-print(f"curve: {curve}")
+print(f"curve: {render_equation(curve.n, curve.f)}")
 print(f"degree {curve.d}, genus {curve.genus}")
 
 form, inv = invariants_for_curve(curve)
@@ -45,7 +46,7 @@ except NoExtraAutomorphismError as exc:
 n, h = parse_equation("y^2 = x^8 + 5x^4 + 1")
 curve = validate(n, h)
 form, inv = invariants_for_curve(curve, delta=2)
-print(f"\n{curve} with delta pinned to 2:")
+print(f"\n{render_equation(curve.n, curve.f)} with delta pinned to 2:")
 print(f"s = {form.s}, a = {[str(v) for v in form.a]}")
 print(f"invariants = {[str(v) for v in inv.values]}")
 print(f"(an all-zero tuple sits on the degenerate locus: {field_of_definition(inv).note})")

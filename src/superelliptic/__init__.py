@@ -58,7 +58,7 @@ from .exact import (
     rational_nth_root,
     squarefree_decompose,
 )
-from .poly import DeltaSupport, Poly, delta_support, discriminant, resultant
+from .poly import DeltaSupport, Poly, delta_support, discriminant
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "reconstruct",
     "render_equation",
     "render_polynomial",
-    "resultant",
     "roundtrip_verify",
     "squarefree_decompose",
     "validate",

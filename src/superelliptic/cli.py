@@ -12,7 +12,8 @@ or ``-`` to read a JSON object from stdin (key ``"equation"``, optional
 or ``-`` for stdin JSON (keys ``"invariants"``, ``"n"``, ``"delta"``, and
 for ``reconstruct`` an optional ``"root"``).  A set flag wins over stdin,
 stdin over the default.  A rational is a JSON integer or
-``[+-]digits[/digits]`` text (no exponents or decimals).  ``reconstruct``
+``[+-]digits[/digits]`` text, an integer flag is ``[+-]digits``, and digits
+are ASCII ``0-9`` (no exponents or decimals).  ``reconstruct``
 refuses a rebuilt degree ``delta*(s+1)`` above ``MAX_DEGREE``.  Every
 document, errors included, carries ``schema_version`` and ``command``.
 """
@@ -176,7 +177,8 @@ def _invariants(inputs: dict) -> DihedralInvariants:
     return DihedralInvariants(_parse_rational_list(inputs["invariants"]), inputs["n"], inputs["delta"])
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(rf"{_INTEGER}(/[0-9]+)?")
 
 
 def _parse_rational(value) -> Fraction:
@@ -344,6 +346,13 @@ def _cmd_roundtrip(args) -> dict:
     }
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type for the integer flags: ASCII digits only (int() also reads ``٣`` and ``1_0``)."""
+    if not re.fullmatch(_INTEGER, text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="superelliptic",
@@ -357,19 +366,19 @@ def _build_parser() -> _ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("source", metavar="equation", help="equation text, or - for stdin JSON")
-        p.add_argument("--delta", type=int, default=None, help="pin delta instead of taking the maximal fit")
+        p.add_argument("--delta", type=_ascii_int, default=None, help="pin delta instead of taking the maximal fit")
         p.set_defaults(func=func)
 
     p = sub.add_parser("genus", help="genus of y^n = f(x) from n and deg f")
-    p.add_argument("--n", type=int, required=True, help="superelliptic exponent")
-    p.add_argument("--d", type=int, required=True, help="degree of f")
+    p.add_argument("--n", type=_ascii_int, required=True, help="superelliptic exponent")
+    p.add_argument("--d", type=_ascii_int, required=True, help="degree of f")
     p.set_defaults(func=_cmd_genus)
 
     def add_invariant_inputs(p):
         p.add_argument("source", nargs="?", default=None, help="- to read stdin JSON")
         p.add_argument("--invariants", default=None, help="comma-separated rationals s_1,...,s_s")
-        p.add_argument("--n", type=int, default=None, help="superelliptic exponent (default 2)")
-        p.add_argument("--delta", type=int, default=None, help="decimation step (default 2)")
+        p.add_argument("--n", type=_ascii_int, default=None, help="superelliptic exponent (default 2)")
+        p.add_argument("--delta", type=_ascii_int, default=None, help="decimation step (default 2)")
 
     p = sub.add_parser("field", help="field of moduli vs field of definition from invariants")
     add_invariant_inputs(p)
@@ -383,11 +392,11 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="forward-compute invariants, reconstruct, compare")
     p.add_argument("--a", default=None, help="comma-separated interior coefficients a_1,...,a_s")
-    p.add_argument("--random", type=int, default=None, metavar="N",
+    p.add_argument("--random", type=_ascii_int, default=None, metavar="N",
                    help="run N random tuples instead of an explicit one")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
-    p.add_argument("--n", type=int, default=2, help="superelliptic exponent (default 2)")
-    p.add_argument("--delta", type=int, default=2, help="decimation step (default 2)")
+    p.add_argument("--seed", type=_ascii_int, default=0, help="seed for --random (default 0)")
+    p.add_argument("--n", type=_ascii_int, default=2, help="superelliptic exponent (default 2)")
+    p.add_argument("--delta", type=_ascii_int, default=2, help="decimation step (default 2)")
     p.set_defaults(func=_cmd_roundtrip)
 
     for p in sub.choices.values():

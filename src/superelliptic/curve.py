@@ -96,9 +96,6 @@ class SuperellipticCurve:
     def genus(self) -> int:
         return genus(self.n, self.d)
 
-    def __str__(self):
-        return f"y^{self.n} = {self.f}"
-
 
 def validate(n: int, f: Poly) -> SuperellipticCurve:
     """Build a curve, raising CurveValidationError listing every violation."""
@@ -137,7 +134,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
     a_1 = 0 thins the support).  A shape that needs a coordinate change
     outside Q comes back as kind None with a diagnostic rather than a lie.
     """
-    patterns = [p for p in delta_support(curve.f) if p.delta >= 2]
+    patterns = delta_support(curve.f)
     if delta is not None:
         if not _integer_at_least(delta, 2):
             raise ValueError(f"the delta override must be an integer >= 2, got {delta!r}")

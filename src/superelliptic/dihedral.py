@@ -66,9 +66,12 @@ class DihedralInvariants:
     """The invariant tuple (s_1, ..., s_s) with the ambient shape (n, delta).
 
     ``values[i-1]`` is s_i; ``s`` is the tuple length.  The tuple is exactly
-    the data that survives the dihedral coefficient action, so two interior
-    tuples give the same DihedralInvariants iff they present isomorphic
-    normal forms.
+    the data that survives the dihedral coefficient action: x -> zeta*x and
+    the reversal of the tuple, which is x -> 1/x.  Equal tuples present
+    isomorphic normal forms only when n | delta*(s+1).  Otherwise infinity
+    is a branch point and 0 is not, x -> 1/x is no isomorphism, and a tuple
+    and its reversal can give non-isomorphic curves with equal invariants
+    (ROADMAP.md, open item 1).
     """
 
     values: tuple[Fraction, ...]
@@ -244,8 +247,10 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
 
     ``root_choice`` picks which quadratic root becomes the leading
     coefficient.  When both roots are nonzero, the two choices give the two
-    dihedral normalizations of the same curve (reversing the interior tuple
-    swaps them).  A root of 0 occurs exactly when s_s = 0; choosing it
+    dihedral normalizations, and reversing the interior tuple swaps them.
+    They are the same curve only when n | delta*(s+1); otherwise x -> 1/x
+    is no isomorphism and the two curves can differ (ROADMAP.md, open item
+    1).  A root of 0 occurs exactly when s_s = 0; choosing it
     rebuilds y**n = 1, which is not a curve, and only the other root gives
     one.  On the degenerate locus (discriminant 0) reconstruction is
     refused.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact import QuadExt
 from .poly import Poly
 
 
@@ -158,15 +159,29 @@ def parse_equation(text: str):
     return _Parser(text).parse()
 
 
-def _term_body(magnitude, exponent: int) -> str:
-    if exponent == 0:
-        return str(magnitude)
-    return f"{magnitude}*x^{exponent}"
-
-
 def render_polynomial(poly: Poly) -> str:
-    """Canonical text for a polynomial over Q or a quadratic extension."""
-    return poly.join_terms(_term_body)
+    """Canonical text for a polynomial over Q or a quadratic extension.
+
+    The nonzero terms, highest exponent first, each joined by the sign of
+    its rational part; an irrational QuadExt coefficient is written
+    ``(a + b*sqrt(d))`` and always joins with ``+``.
+    """
+    parts = []
+    for e in range(poly.degree, -1, -1):
+        c = poly.coeffs[e]
+        if not c:
+            continue
+        if isinstance(c, QuadExt) and c.b:
+            neg, magnitude = False, f"({c})"
+        else:
+            c = c.a if isinstance(c, QuadExt) else c
+            neg, magnitude = c < 0, abs(c)
+        text = f"{magnitude}*x^{e}" if e else str(magnitude)
+        if parts:
+            parts.append(f"- {text}" if neg else f"+ {text}")
+        else:
+            parts.append(f"-{text}" if neg else text)
+    return " ".join(parts) if parts else "0"
 
 
 def render_equation(n: int, poly: Poly) -> str:

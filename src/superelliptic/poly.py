@@ -1,16 +1,17 @@
-"""Dense univariate polynomials over an exact field, plus resultants.
+"""Dense univariate polynomials over an exact field, plus discriminants.
 
 Coefficients live in whatever exact field the caller supplies: Fraction for
 most of the library, :class:`~superelliptic.exact.QuadExt` for reconstructed
-equations.  The only requirements are exact +, -, *, / and an honest
-``__eq__`` against 0.
+equations.  The only requirements are exact +, -, * and an honest
+``__eq__`` against 0.  ``Poly`` holds coefficients and offers the ring
+operations; :func:`~superelliptic.equations.render_polynomial` writes it out.
 
-Resultants and discriminants are exact resultants over Q by the integer
-subresultant PRS: rational content is pulled out, and the remainder
-sequence runs on primitive integer coefficients with exact divisions, so no
-Fraction arithmetic and no matrix.  A discriminant of f = g(x**k) is
-computed from g.  ``delta_support`` is the support analysis used to spot
-equations of the shape g(x**delta) or x*g(x**delta).
+Discriminants are exact over Q by the integer subresultant PRS: rational
+content is pulled out, and the remainder sequence runs on primitive integer
+coefficients with exact divisions, so no Fraction arithmetic and no matrix.
+A discriminant of f = g(x**k) is computed from g.  ``delta_support`` is the
+support analysis used to spot equations of the shape g(x**delta) or
+x*g(x**delta).
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QuadExt
-
 
 class Poly:
     """Immutable dense polynomial; ``coeffs[i]`` multiplies x**i.
 
+    >>> from superelliptic.equations import render_polynomial
     >>> p = Poly([1, 0, 1])
-    >>> print(p)
-    x^2 + 1
-    >>> p(2)
-    Fraction(5, 1)
+    >>> p.coeffs
+    (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1))
+    >>> render_polynomial(p * p)
+    '1*x^4 + 2*x^2 + 1'
     """
 
     __slots__ = ("coeffs",)
@@ -43,12 +43,6 @@ class Poly:
     @classmethod
     def zero(cls) -> "Poly":
         return cls([])
-
-    @classmethod
-    def monomial(cls, coefficient, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * exponent + [coefficient])
 
     @classmethod
     def from_terms(cls, terms) -> "Poly":
@@ -85,12 +79,6 @@ class Poly:
 
     def support(self) -> tuple[int, ...]:
         return tuple([i for i, c in enumerate(self.coeffs) if c])
-
-    def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return Fraction(0) if acc is None else acc
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -129,28 +117,6 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
 
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        lead = den[-1]
-        if len(rem) < len(den):
-            return Poly.zero(), self
-        quo = [Fraction(0)] * (len(rem) - len(den) + 1)
-        for i in range(len(quo) - 1, -1, -1):
-            q = rem[i + len(den) - 1] / lead
-            quo[i] = q
-            if q:
-                for j, d in enumerate(den):
-                    rem[i + j] = rem[i + j] - q * d
-        return Poly(quo), Poly(rem[: len(den) - 1])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def scale_x(self, r) -> "Poly":
         """The polynomial p(r*x)."""
         out = []
@@ -160,84 +126,15 @@ class Poly:
             power = power * r
         return Poly(out)
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def join_terms(self, body) -> str:
-        """The nonzero terms, highest exponent first, joined with signs.
-
-        ``body(magnitude, exponent)`` writes one term without its sign.  The
-        sign comes from the rational part; an irrational QuadExt coefficient
-        is passed as ``"(a + b*sqrt(d))"`` and always joins with ``+``.
-        """
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if isinstance(c, QuadExt) and c.b:
-                neg, text = False, body(f"({c})", e)
-            else:
-                c = c.a if isinstance(c, QuadExt) else c
-                neg, text = c < 0, body(abs(c), e)
-            if parts:
-                parts.append(f"- {text}" if neg else f"+ {text}")
-            else:
-                parts.append(f"-{text}" if neg else text)
-        return " ".join(parts) if parts else "0"
-
-    def __str__(self):
-        return self.join_terms(_short_term)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-
-def _short_term(magnitude, exponent: int) -> str:
-    """A term for ``str(Poly)``: a coefficient of 1 and the exponent 1 are left out."""
-    if exponent == 0:
-        return str(magnitude)
-    power = "x" if exponent == 1 else f"x^{exponent}"
-    return power if magnitude == 1 else f"{magnitude}*{power}"
-
-
-def resultant(p: Poly, q: Poly) -> Fraction:
-    """res(p, q) over Q with the standard sign convention: res(x - a, x - b) = a - b.
-
-    Each input is split into its rational content and a primitive integer
-    polynomial, p = cp * P and q = cq * Q, and
-
-        res(p, q) = cp**deg q * cq**deg p * res(P, Q),
-
-    where res(P, Q) comes from the integer subresultant PRS (see
-    ``_subresultant``): every division in it is exact, so every intermediate
-    is an integer no larger than the subresultants.  A constant c gives
-    res(c, q) = c**deg q.
-
-    Zero inputs are refused: their resultant is a matter of convention and
-    always signals an upstream bug in this library.  A coefficient that is
-    not an int or a Fraction raises TypeError.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of the zero polynomial is not defined here")
-    cp, a = _primitive(p)
-    cq, b = _primitive(q)
-    m, n = p.degree, q.degree
-    if m == 0 or n == 0:
-        return p.coeffs[0] ** n if m == 0 else q.coeffs[0] ** m
-    sign = 1
-    if m < n:
-        a, b = b, a
-        if m & n & 1:
-            sign = -1
-    return sign * cp**n * cq**m * _subresultant(a, b)
 
 
 def _primitive(p: Poly) -> tuple[Fraction, list[int]]:
     """(content, P) with p = content * P, P a primitive integer coefficient list."""
     for c in p.coeffs:
         if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"resultants are defined over Q here, not for the coefficient {c!r}")
+            raise TypeError(f"discriminants are defined over Q here, not for the coefficient {c!r}")
     den = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     num = math.gcd(*ints)
@@ -340,8 +237,8 @@ def discriminant(p: Poly) -> Fraction:
     """disc(p) = (-1)**(d(d-1)/2) * res(p, p') / lc(p); zero iff p has a repeated root.
 
     With p = c * P, c its rational content, disc(p) = c**(2d-2) * disc(P),
-    and disc(P) is computed over Z (see ``_integer_discriminant``).  The
-    same TypeError as ``resultant`` is raised for a non-rational coefficient.
+    and disc(P) is computed over Z (see ``_integer_discriminant``).  A
+    coefficient that is not an int or a Fraction raises TypeError.
     """
     d = p.degree
     if p.is_zero() or d < 1:
@@ -389,27 +286,19 @@ class DeltaSupport:
 
 
 def delta_support(p: Poly) -> tuple[DeltaSupport, ...]:
-    """All decimation patterns the support of p fits, best (largest delta) first.
+    """All decimation patterns with delta >= 2 the support of p fits, best (largest delta) first.
 
-    Entries with delta = 1 are included so callers can see the trivial fit,
-    but anything useful needs delta >= 2.  A polynomial with a nonzero
-    constant term can only fit residue 0.  Without one, residue 0 is
-    reported only for delta >= 2 and residue 1 for every delta; support
-    {1} fits neither (g would be constant) and gives ().
+    A polynomial with a nonzero constant term can only fit residue 0.
+    Support {1} fits neither (g would be constant) and gives ().
     """
     support = p.support()
     if not support:
         raise ValueError("the zero polynomial has no support pattern")
     d = support[-1]
-    constant = support[0] == 0
     out = []
-    for r in (0,) if constant else (0, 1):
+    for r in (0,) if support[0] == 0 else (0, 1):
         g = math.gcd(*(e - r for e in support))
-        out += [
-            DeltaSupport(delta, r, (d - r) // delta - 1 + r)
-            for delta in _divisors(g)
-            if delta >= 2 or r == 1 or constant
-        ]
+        out += [DeltaSupport(delta, r, (d - r) // delta - 1 + r) for delta in _divisors(g) if delta >= 2]
     out.sort(key=lambda c: (-c.delta, c.residue))
     return tuple(out)
 

@@ -188,6 +188,31 @@ def test_usage_errors_exit_2(capsys):
     assert json.loads(err)["error"]["code"] == "usage_error"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("genus", "--n", "\u0663", "--d", "\u0667"), "--n", "\u0663"),
+        (("genus", "--n", "1_0", "--d", "12"), "--n", "1_0"),
+        (("genus", "--n", "2", "--d", "\u00b2"), "--d", "\u00b2"),
+        (("roundtrip", "--random", "\u0663"), "--random", "\u0663"),
+        (("roundtrip", "--random", "3", "--seed", "1_000"), "--seed", "1_000"),
+        (("classify", SEXTIC, "--delta", "\u0662"), "--delta", "\u0662"),
+        (("field", "--invariants", "1,1", "--n", "abc"), "--n", "abc"),
+    ],
+    ids=["arabic_indic_n", "underscore_n", "superscript_d", "arabic_indic_random", "underscore_seed",
+         "arabic_indic_delta", "word_n"],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "usage_error", "message": f"argument {flag}: invalid int value: {value!r}"}
+
+
+def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
+    code, doc, _ = run_json(capsys, "genus", "--n", "+3", "--d", " 07 ")
+    assert code == 0 and doc["n"] == 3 and doc["d"] == 7
+
+
 def test_equation_from_stdin(capsys, monkeypatch):
     payload = {"equation": "y^2 = x^8 + 5x^4 + 1", "delta": 2}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -274,6 +299,22 @@ def test_high_degree_binomial_classifies_quickly(degree):
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert doc["d"] == degree and doc["kind"] == "GDelta"
+
+
+def test_cli_imports_only_the_standard_library():
+    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # compared with the modules loaded before the import: site may already load third-party ones
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import superelliptic.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'superelliptic'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_missing_invariants_is_an_input_error(capsys):

@@ -55,7 +55,7 @@ def test_genus_rejects_out_of_range_shapes():
 def test_validate_accepts_the_reference_curve():
     curve = validate(2, GENUS2_SEXTIC)
     assert curve.n == 2 and curve.d == 6 and curve.genus == 2
-    assert str(curve) == "y^2 = x^6 + 2*x^4 + 3*x^2 + 1"
+    assert curve.f == GENUS2_SEXTIC
 
 
 def test_validate_rejects_planted_square_factor():
