@@ -158,11 +158,6 @@ def test_render_quadratic_extension_coefficients():
     root_only = Poly([QuadExt(Fraction(0), Fraction(1), 3)])
     assert render_polynomial(root_only) == "(sqrt(3))"
 
-    # an irrational coefficient joins with '+' whatever its sign; rational ones keep theirs
-    plus = QuadExt(Fraction(1, 2), Fraction(1, 4), 2)
-    assert render_polynomial(Poly([1, 0, Fraction(1, 2), 0, plus])) == "(1/2 + 1/4*sqrt(2))*x^4 + 1/2*x^2 + 1"
-    assert render_polynomial(Poly([QuadExt(-1, 0, 2), QuadExt(0, -1, 2)])) == "(-sqrt(2))*x^1 - 1"
-
 
 coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 

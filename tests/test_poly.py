@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superelliptic.equations import render_polynomial
 from superelliptic.exact import QuadExt
 from superelliptic.poly import (
     DeltaSupport,
@@ -30,6 +31,20 @@ def test_construction_trims_and_normalizes():
     assert Poly.from_terms([(1, 4), (2, 0), (1, 4)]) == Poly([2, 0, 0, 0, 2])
     with pytest.raises(ValueError):
         Poly.from_terms([(1, -1)])
+
+
+def test_evaluation_and_str():
+    p = Poly([1, 0, 3, 0, 2, 0, 1])
+    assert evaluate(p, 0) == 1
+    assert evaluate(p, 1) == 7
+    assert evaluate(p, Fraction(1, 2)) == Fraction(121, 64)
+    assert render_polynomial(p) == "1*x^6 + 2*x^4 + 3*x^2 + 1"
+    assert render_polynomial(Poly([Fraction(-1, 2), 1])) == "1*x^1 - 1/2"
+    assert render_polynomial(Poly.zero()) == "0"
+    # an irrational coefficient joins with '+' whatever its sign; rational ones keep theirs
+    lead = QuadExt(Fraction(1, 2), Fraction(1, 4), 2)
+    assert render_polynomial(Poly([1, 0, Fraction(1, 2), 0, lead])) == "(1/2 + 1/4*sqrt(2))*x^4 + 1/2*x^2 + 1"
+    assert render_polynomial(Poly([QuadExt(-1, 0, 2), QuadExt(0, -1, 2)])) == "(-sqrt(2))*x^1 - 1"
 
 
 @given(polys, polys, small_coeffs)
