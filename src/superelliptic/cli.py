@@ -14,14 +14,21 @@ for ``reconstruct`` an optional ``"root"``).  A set flag wins over stdin,
 stdin over the default.  A rational is a JSON integer or
 ``[+-]digits[/digits]`` text, an integer flag is ``[+-]digits``, and digits
 are ASCII ``0-9`` (no exponents or decimals).  ``reconstruct``
-refuses a rebuilt degree ``delta*(s+1)`` above ``MAX_DEGREE``.  Every
+refuses a rebuilt degree ``delta*(s+1)`` above ``MAX_DEGREE``, and
+``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.  Every
 document, errors included, carries ``schema_version`` and ``command``.
+
+``main(argv)`` may be called many times in one process: the argument parser
+is built on the first call and reused.  A reader that closes the output
+early ends the run with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import re
 import sys
@@ -43,6 +50,9 @@ from .equations import MAX_DEGREE, EquationSyntaxError, InputTooLargeError, pars
 from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
+
+#: The largest N that ``roundtrip --random N`` runs (~0.45 ms per tuple).
+MAX_RANDOM = 10000
 
 
 class UsageError(Exception):
@@ -68,22 +78,22 @@ def _jsonable(value):
     return value
 
 
-def _print_human(value, indent=0):
+def _print_human(value, out, indent=0):
     pad = "  " * indent
     if isinstance(value, dict):
         for key in value:
             inner = value[key]
             if isinstance(inner, (dict, list)):
-                print(f"{pad}{key}:")
-                _print_human(inner, indent + 1)
+                print(f"{pad}{key}:", file=out)
+                _print_human(inner, out, indent + 1)
             else:
-                print(f"{pad}{key}: {inner}")
+                print(f"{pad}{key}: {inner}", file=out)
     elif isinstance(value, list):
         for inner in value:
             if isinstance(inner, (dict, list)):
-                _print_human(inner, indent + 1)
+                _print_human(inner, out, indent + 1)
             else:
-                print(f"{pad}- {inner}")
+                print(f"{pad}- {inner}", file=out)
 
 
 _ERROR_CODES = (
@@ -311,6 +321,8 @@ def _cmd_roundtrip(args) -> dict:
             raise ValueError("give either --a or --random, not both")
         if args.random < 1:
             raise ValueError("--random needs a positive count")
+        if args.random > MAX_RANDOM:
+            raise ValueError(f"--random {args.random} is above MAX_RANDOM = {MAX_RANDOM}")
         rng = random.Random(args.seed)
         counts = {"pass": 0, "skipped": 0, "fail": 0}
         failures = []
@@ -353,7 +365,9 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built on the first call and shared: parse_args keeps no state in it."""
     parser = _ArgumentParser(
         prog="superelliptic",
         description="Exact dihedral invariants and fields of definition for superelliptic curves",
@@ -420,10 +434,23 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         body, code = _error_doc(exc), 1
     doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
-    if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2), file=out)
-    else:
-        _print_human(doc)
+    try:
+        if as_json:
+            print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+        else:
+            _print_human(doc, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit raises nothing, and exit 1 as on EPIPE
+        try:
+            fd = out.fileno()
+        except OSError:  # io.UnsupportedOperation: no real descriptor, as in StringIO
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superelliptic
-from superelliptic.cli import main
+from superelliptic.cli import MAX_RANDOM, main
 from superelliptic.equations import MAX_DEGREE
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
@@ -22,6 +24,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def env_with_src():
+    """os.environ with this package's source directory first on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_json(capsys, *argv):
@@ -138,6 +146,21 @@ def test_roundtrip_random_is_seeded_and_deterministic(capsys):
 
     _, other, _ = run(capsys, "roundtrip", "--random", "25", "--seed", "8")
     assert other != first
+
+
+def test_roundtrip_random_count_is_capped(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "roundtrip", "--random", str(MAX_RANDOM + 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and err == ""
+    assert doc["error"]["code"] == "invalid_input"
+    assert f"MAX_RANDOM = {MAX_RANDOM}" in doc["error"]["message"]
+
+    # the cap is inclusive; a stub verifier keeps the MAX_RANDOM draws cheap
+    monkeypatch.setattr("superelliptic.cli.roundtrip_verify",
+                        lambda a, n, delta: types.SimpleNamespace(status="pass", reason=None))
+    code, doc, _ = run_json(capsys, "roundtrip", "--random", str(MAX_RANDOM))
+    assert code == 0 and doc["total"] == doc["passed"] == MAX_RANDOM
 
 
 def test_syntax_error_reports_position(capsys):
@@ -288,12 +311,10 @@ def test_exponent_above_max_degree_is_refused(capsys):
 
 @pytest.mark.parametrize("degree", [200, 2000])
 def test_high_degree_binomial_classifies_quickly(degree):
-    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "superelliptic", "classify", f"y^2 = x^{degree} + 1"],
-        capture_output=True, text=True, env=env, timeout=2,
+        capture_output=True, text=True, env=env_with_src(), timeout=2,
     )
     assert time.perf_counter() - start < 2
     assert done.returncode == 0, done.stderr
@@ -302,8 +323,6 @@ def test_high_degree_binomial_classifies_quickly(degree):
 
 
 def test_cli_imports_only_the_standard_library():
-    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # compared with the modules loaded before the import: site may already load third-party ones
     code = (
         "import sys\n"
@@ -312,9 +331,47 @@ def test_cli_imports_only_the_standard_library():
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(added - set(sys.stdlib_module_names) - {'superelliptic'}))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("genus", "--n", "3", "--d", "7"), ("genus", "--n", "2", "--d", "5", "--no-json")],
+                         ids=["json", "text"])
+def test_a_reader_that_closed_stdout_gets_exit_1_and_no_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "superelliptic", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env_with_src(), timeout=30)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_the_parser_is_built_on_the_first_call_and_only_once():
+    # importing the CLI builds no parser (setup time); a second main() builds none
+    code = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = 0
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            global built
+            built += 1
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import superelliptic.cli
+        counts = [built]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["genus", "--n", "3", "--d", "7"], ["field", "--invariants", "1,1"]):
+                superelliptic.cli.main(argv)
+                counts.append(built)
+        print(counts)
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
+    assert done.returncode == 0, done.stderr
+    at_import, after_one, after_two = json.loads(done.stdout)
+    assert at_import == 0 and after_one > 0 and after_two == after_one
 
 
 def test_missing_invariants_is_an_input_error(capsys):

@@ -75,6 +75,17 @@ def test_cli_bytes_match_the_recording(name):
     assert run_case(*CASES[name]) == expected
 
 
+def test_one_process_reproduces_every_recording_in_any_order():
+    """main() reuses its parser, so no call may leak state into the next one."""
+    recorded = json.loads(GOLDEN.read_text())
+    names = sorted(CASES)
+    # a usage error right before a good call of the same subcommand, and text mode before JSON
+    pairs = ["usage_missing_flag", "genus", "usage_bad_choice", "reconstruct", "usage_missing_equation",
+             "invariants", "invariants_text", "invariants", "genus_text", "genus", "roundtrip_text", "roundtrip"]
+    for name in names + names[::-1] + names + names[::-1] + pairs:
+        assert run_case(*CASES[name]) == recorded[name], name
+
+
 def test_recording_covers_exactly_the_cases():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
