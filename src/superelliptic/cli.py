@@ -362,7 +362,13 @@ def _ascii_int(text: str) -> int:
     """argparse type for the integer flags: ASCII digits only (int() also reads ``٣`` and ``1_0``)."""
     if not re.fullmatch(_INTEGER, text.strip()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts; name the length, not the digits
+        digits = len(text.strip().lstrip("+-"))
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: a numeral of {digits} digits, over the limit of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 @functools.cache

@@ -25,12 +25,23 @@ the roots, reconstruction and the CLI all read that one report.
 
 The coefficient identity used for reconstruction is
 
-    c_i = (s_s**i * s_i / 2**i - T * s_{s+1-i}) / (s_1 - 2*T),
+    c_i = (A_i - T * B_i) / (s_1 - 2*T),   A_i = s_s**i * s_i / 2**i,   B_i = s_{s+1-i},
 
 with T the chosen quadratic root and c_i the coefficient of x**(delta*i) of
 the rebuilt equation (equal to a_i * a_s**i when T = a_s**(s+1)).  The
 divisor s_1 - 2*T is the difference of the two roots, never zero off the
-degenerate locus.  An alternative closed form for c_i that circulates,
+degenerate locus.  Write the roots as T = L_+- = s_1/2 +- sigma*sqrt(d),
+with sigma = square_part/2**(s+2) from the field report and d its
+squarefree radicand (d = 1 when the discriminant is a square).  Then
+s_1 - 2*L_+- = -+2*sigma*sqrt(d), and the identity splits as
+
+    c_i = B_i/2 -+ (A_i - s_1*B_i/2) / (2*sigma*d) * sqrt(d).
+
+The rational parts B_i/2 and the irrational parts are the same for both
+roots, so one pass of rational arithmetic per tuple
+(``DihedralInvariants._root_split``) gives both rebuilt equations, which
+are Galois conjugates when d != 1.  An alternative closed form for c_i that
+circulates,
 
     2**(s-i) * s_1 * (s_s**i * s_i - T * s_{s+1-i}) / (2**s * s_1**2 - s_s**(s+1)),
 
@@ -40,6 +51,7 @@ a_1*a_s = 2.  The roundtrip test suite adjudicates this; see README.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,6 +133,41 @@ class DihedralInvariants:
             note=note,
         )
 
+    @cached_property
+    def _root_split(self) -> tuple:
+        """Both quadratic roots and the split they share, worked out on first use.
+
+        Returns ``((plus, minus), halves, parts)``.  The roots are
+        s_1/2 +- sigma*sqrt(d) with sigma = square_part/2**(s+2), and the
+        root L_+- rebuilds c_i = halves[i-1] -+ parts[i-1]*sqrt(d), with
+        d = 1 when the discriminant is a square (module docstring).  On the
+        degenerate locus sigma = 0: both roots are s_1/2, and halves and
+        parts are None.
+        """
+        report = self.field_report
+        s, head, tail = self.s, self.values[0], self.values[-1]
+        half = head / 2
+        sigma = report.square_part / 2 ** (s + 2)
+        d = report.squarefree_radicand or 1
+        if report.is_square:
+            roots = half + sigma, half - sigma
+        else:
+            shift = QuadExt(0, sigma, d)
+            roots = half + shift, half - shift
+        if report.is_degenerate:
+            return roots, None, None
+        # parts[i-1] = (A_i - s_1*B_i/2) * scale with A_i = (s_s/2)**i * s_i,
+        # B_i = s_{s+1-i} and scale = 1/(2*sigma*d); power carries scale*(s_s/2)**i
+        scale = 1 / (2 * sigma * d)
+        step, gap, power = tail / 2, head * scale, scale
+        halves, parts = [], []
+        for i in range(1, s):
+            power *= step
+            half_b = self.values[s - i] / 2
+            halves.append(half_b)
+            parts.append(power * self.values[i - 1] - half_b * gap)
+        return roots, halves, parts
+
 
 def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
     """Invariants of the interior coefficient tuple a = (a_1, ..., a_s).
@@ -153,15 +200,11 @@ def leading_coefficients(inv: DihedralInvariants):
     Returns (plus, minus), that is head/2 +- square_part/2**(s+2) read off
     the tuple's field report.  When the discriminant is a rational square
     both roots are Fractions; otherwise they are conjugate QuadExt elements
-    over the squarefree radicand of the discriminant.
+    over the squarefree radicand of the discriminant.  The pair is worked
+    out once per tuple, with the split that ``reconstruct`` assembles both
+    rebuilt equations from, and every call returns the same objects.
     """
-    report = field_of_definition(inv)
-    half = inv.values[0] / 2
-    shift = report.square_part / 2 ** (inv.s + 2)
-    if report.is_square:
-        return half + shift, half - shift
-    d = report.squarefree_radicand
-    return QuadExt(half, shift, d), QuadExt(half, -shift, d)
+    return inv._root_split[0]
 
 
 @dataclass(frozen=True)
@@ -254,6 +297,12 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
     rebuilds y**n = 1, which is not a curve, and only the other root gives
     one.  On the degenerate locus (discriminant 0) reconstruction is
     refused.
+
+    The coefficients are assembled from the tuple's shared split (module
+    docstring): c_i = B_i/2 -+ q_i*sqrt(d), with the rational parts B_i/2
+    and the q_i worked out once per tuple; a root then costs s - 1 additions
+    over Q, or at most s - 1 sign flips over Q(sqrt(d)).  The leading
+    coefficient is the very object ``leading_coefficients`` returns.
     """
     if root_choice not in ("plus", "minus"):
         raise ValueError(f"root_choice must be 'plus' or 'minus', got {root_choice!r}")
@@ -262,17 +311,16 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
             "discriminant 0: the curve has extra automorphisms beyond the dihedral "
             "family and this reconstruction does not apply"
         )
-    s = inv.s
-    plus, minus = leading_coefficients(inv)
+    (plus, minus), halves, parts = inv._root_split
     lead = plus if root_choice == "plus" else minus
-    head, tail = inv.values[0], inv.values[-1]
-    # one inverse of the difference of the two quadratic roots, nonzero off the degenerate locus
-    inverse = 1 / (head - 2 * lead)
-    interior = tuple(
-        (tail**i * inv.values[i - 1] / 2**i - lead * inv.values[s - i]) * inverse
-        for i in range(1, s)
-    )
-    return ReconstructedCurve(lead, interior, inv.n, inv.delta, s, root_choice)
+    d = inv.field_report.squarefree_radicand
+    if d is None:
+        interior = tuple(map(operator.sub if root_choice == "plus" else operator.add, halves, parts))
+    else:
+        if root_choice == "plus":
+            parts = [-q for q in parts]
+        interior = tuple([QuadExt._of(r, q, d) for r, q in zip(halves, parts)])
+    return ReconstructedCurve(lead, interior, inv.n, inv.delta, inv.s, root_choice)
 
 
 @dataclass(frozen=True)

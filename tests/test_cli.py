@@ -231,6 +231,17 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
     assert json.loads(err)["error"] == {"code": "usage_error", "message": f"argument {flag}: invalid int value: {value!r}"}
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize("argv", [("roundtrip", "--random"), ("genus", "--d", "3", "--n")], ids=["random", "genus_n"])
+def test_a_numeral_past_the_int_conversion_limit_is_a_usage_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, " +" + "9" * (limit + 1))
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == f"argument {argv[-1]}: invalid int value: a numeral of {limit + 1} digits, over the limit of {limit}"
+
+
 def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
     code, doc, _ = run_json(capsys, "genus", "--n", "+3", "--d", " 07 ")
     assert code == 0 and doc["n"] == 3 and doc["d"] == 7

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -23,7 +24,7 @@ from superelliptic.dihedral import (
     reconstruct,
     roundtrip_verify,
 )
-from superelliptic.exact import FactorBoundExceededError, QuadExt, is_perfect_square
+from superelliptic.exact import FactorBoundExceededError, QuadExt, is_perfect_square, squarefree_decompose
 from superelliptic.poly import Poly
 
 entries = st.fractions(min_value=-12, max_value=12, max_denominator=8)
@@ -176,6 +177,95 @@ def test_reconstruct_on_quadratic_extension():
     assert poly.coefficient(0) == 1
     assert poly.coefficient(4) == lead and poly.coefficient(6) == lead
     assert rec.invariant_values() == inv.values
+
+
+def oracle_reconstruction(inv, sign):
+    """Root L = s_1/2 + sign*sqrt(D)/2**(s+2) and the per-root identity, evaluated directly.
+
+    c_i = (s_s**i * s_i / 2**i - L * s_{s+1-i}) / (s_1 - 2L), in Fractions when
+    the discriminant D is a square and in QuadExt otherwise.
+    """
+    s, v = inv.s, inv.values
+    disc = dihedral_discriminant(inv)
+    square, root = is_perfect_square(disc)
+    if square:
+        lead = v[0] / 2 + sign * root / 2 ** (s + 2)
+    else:
+        dec = squarefree_decompose(disc)
+        lead = QuadExt(v[0] / 2, sign * dec.square_part / 2 ** (s + 2), dec.squarefree_part)
+    interior = tuple((v[-1] ** i * v[i - 1] / 2**i - lead * v[s - i]) / (v[0] - 2 * lead) for i in range(1, s))
+    return lead, interior
+
+
+def oracle_cases():
+    """Seeded tuples for s = 2..12 and delta = 2, 3: random, square by construction, s_s = 0, degenerate."""
+    rng = random.Random(1301)
+
+    def q(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    for s in range(2, 13):
+        for delta in (2, 3):
+            for kind in ("random", "random", "random", "square", "tail_zero", "degenerate"):
+                middle = [q(9) for _ in range(s - 2)]
+                if kind == "square":  # roots w and u**(s+1)/w
+                    u, w = q(9), q(9) or Fraction(1)
+                    values = (w + u ** (s + 1) / w, *middle, 2 * u)
+                elif kind == "tail_zero":
+                    values = (q(9), *middle, Fraction(0))
+                elif kind == "degenerate":  # a double root v**(s+1)
+                    v = q(5) or Fraction(1)
+                    values = (2 * v ** (s + 1), *middle, 2 * v * v)
+                else:
+                    values = (q(9), *middle, q(9))
+                yield kind, DihedralInvariants(values, 2, delta)
+
+
+def test_both_roots_match_the_per_root_oracle():
+    seen = collections.Counter()
+    for kind, inv in oracle_cases():
+        try:
+            report = field_of_definition(inv)
+        except FactorBoundExceededError:
+            continue
+        if report.is_degenerate:
+            half = inv.values[0] / 2
+            assert leading_coefficients(inv) == (half, half)
+            for root in ("plus", "minus"):
+                with pytest.raises(DegenerateLocusError):
+                    reconstruct(inv, root)
+            seen["degenerate"] += 1
+            continue
+        recs = {}
+        for root, sign in (("plus", 1), ("minus", -1)):
+            rec = recs[root] = reconstruct(inv, root)
+            lead, interior = oracle_reconstruction(inv, sign)
+            assert rec.leading_coefficient == lead and rec.interior_coefficients == interior
+            assert repr(rec.leading_coefficient) == repr(lead)
+            assert [repr(c) for c in rec.interior_coefficients] == [repr(c) for c in interior]
+            if lead != 0:
+                assert rec.invariant_values() == inv.values
+        if not report.is_square:
+            minus = recs["minus"].interior_coefficients
+            assert recs["plus"].interior_coefficients == tuple(c.conjugate() for c in minus)
+        seen["square" if report.is_square else "non-square"] += 1
+        seen[f"s={inv.s}"] += 1
+        seen[f"delta={inv.delta}"] += 1
+        seen[kind] += 1
+    assert all(seen[f"s={s}"] >= 4 for s in range(2, 13)), seen
+    assert min(seen[key] for key in ("square", "non-square", "tail_zero", "degenerate", "delta=2", "delta=3")) >= 10, seen
+
+
+def test_roots_and_split_are_shared_by_every_reader(monkeypatch):
+    calls = count_analysis_calls(monkeypatch)
+    inv = DihedralInvariants((Fraction(1), Fraction(1)), 2, 2)  # discriminant 32, not a square
+    roots = leading_coefficients(inv)
+    assert leading_coefficients(inv) is roots
+    field_of_definition(inv)
+    minus, plus = reconstruct(inv, "minus"), reconstruct(inv, "plus")
+    assert minus.leading_coefficient is leading_coefficients(inv)[1]
+    assert plus.leading_coefficient is leading_coefficients(inv)[0]
+    assert calls["squarefree_decompose"] == 1
 
 
 def count_analysis_calls(monkeypatch):
