@@ -1,26 +1,27 @@
 """Command-line interface: exact JSON reports for each pipeline stage.
 
-Subcommands: ``invariants``, ``reconstruct``, ``genus``, ``classify``,
-``field``, ``roundtrip``.  Output is JSON by default (``--no-json`` for a
-plain key: value listing) and is byte-identical for identical invocations:
+Subcommands: ``invariants``, ``classify``, ``genus``, ``field``,
+``reconstruct``, ``roundtrip``.  Output is JSON by default (``--no-json`` for
+a plain key: value listing) and is byte-identical for identical invocations:
 keys are sorted, exact rationals are serialized as ``"p/q"`` strings (never
 floats), and quadratic-field elements as ``{"a": "p/q", "b": "p/q", "d": n}``.
 
-Equation-taking commands accept the equation text as a positional argument,
-or ``-`` to read a JSON object from stdin (key ``"equation"``, optional
-``"delta"``).  Invariant-taking commands accept ``--invariants p/q,p/q,...``
-or ``-`` for stdin JSON (keys ``"invariants"``, ``"n"``, ``"delta"``, and
-for ``reconstruct`` an optional ``"root"``).  A set flag wins over stdin,
-stdin over the default.  A rational is a JSON integer or
+One table, ``_COMMANDS``, declares each subcommand's inputs, and one rule
+merges them: a set flag wins, then the stdin JSON value (where the
+positional ``-`` is accepted: ``invariants``, ``classify``, ``field``,
+``reconstruct``), then the default.  Every document echoes the result as
+``inputs``, in the table's key order.  A rational is a JSON integer or
 ``[+-]digits[/digits]`` text, an integer flag is ``[+-]digits``, and digits
-are ASCII ``0-9`` (no exponents or decimals).  ``reconstruct``
-refuses a rebuilt degree ``delta*(s+1)`` above ``MAX_DEGREE``, and
-``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.  Every
-document, errors included, carries ``schema_version`` and ``command``.
+are ASCII ``0-9`` (no exponents or decimals).  A numeral past the
+interpreter's integer conversion limit is refused by its length.
+``reconstruct`` refuses a rebuilt degree ``delta*(s+1)`` above
+``MAX_DEGREE``, and ``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.
+Every document, errors included, carries ``schema_version`` and ``command``.
 
 ``main(argv)`` may be called many times in one process: the argument parser
-is built on the first call and reused.  A reader that closes the output
-early ends the run with exit 1 and nothing on stderr.
+is built on the first call and reused.  It returns the exit status; ``--help``
+prints to stdout and returns 0.  A reader that closes the output early ends
+the run with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -59,14 +60,19 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """Raised by -h/--help with the help text, which main prints."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
 
 def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, QuadExt):
@@ -79,21 +85,15 @@ def _jsonable(value):
 
 
 def _print_human(value, out, indent=0):
+    """A dict as "key: value" lines and a list as "- item" lines, nesting indented."""
     pad = "  " * indent
-    if isinstance(value, dict):
-        for key in value:
-            inner = value[key]
-            if isinstance(inner, (dict, list)):
+    for key, inner in value.items() if isinstance(value, dict) else ((None, inner) for inner in value):
+        if isinstance(inner, (dict, list)):
+            if key is not None:
                 print(f"{pad}{key}:", file=out)
-                _print_human(inner, out, indent + 1)
-            else:
-                print(f"{pad}{key}: {inner}", file=out)
-    elif isinstance(value, list):
-        for inner in value:
-            if isinstance(inner, (dict, list)):
-                _print_human(inner, out, indent + 1)
-            else:
-                print(f"{pad}- {inner}", file=out)
+            _print_human(inner, out, indent + 1)
+        else:
+            print(f"{pad}- {inner}" if key is None else f"{pad}{key}: {inner}", file=out)
 
 
 _ERROR_CODES = (
@@ -127,7 +127,7 @@ def _error_doc(exc: Exception) -> dict:
 
 def _stdin_doc() -> dict:
     try:
-        doc = json.load(sys.stdin)
+        doc = json.load(sys.stdin, parse_int=_numeral)
     except RecursionError:
         raise ValueError("stdin JSON is nested too deeply") from None
     if not isinstance(doc, dict):
@@ -154,61 +154,61 @@ def _stdin_value(doc: dict, key: str, *kinds: type):
 #: The JSON types each stdin key may have; no other key is read.
 _STDIN_TYPES = {"equation": (str,), "invariants": (str, list), "n": (int,), "delta": (int,), "root": (str,)}
 
-#: Per command: its input keys with their defaults (the first key has none and
-#: is required), the message when that key is given nowhere, and whether the
-#: positional is that key's value ("-" always means stdin JSON).
-_EQUATION_INPUTS = ({"equation": None, "delta": None}, 'stdin JSON needs an "equation" key', True)
-_NO_INVARIANTS = "no invariants given; use --invariants or stdin JSON"
-_INPUTS = {"invariants": _EQUATION_INPUTS, "classify": _EQUATION_INPUTS,
-           "field": ({"invariants": None, "n": 2, "delta": 2}, _NO_INVARIANTS, False),
-           "reconstruct": ({"invariants": None, "n": 2, "delta": 2, "root": "minus"}, _NO_INVARIANTS, False)}
-
 
 def _merged_input(args) -> dict:
-    """Each input key: its flag if set, else its type-checked stdin value, else its default."""
-    defaults, missing, positional_is_value = _INPUTS[args.command]
+    """Each input key: its flag if set, else its type-checked stdin value, else its default; invariants parsed."""
+    defaults = _COMMANDS[args.command][2]
     merged = {key: getattr(args, key, None) for key in defaults}
     first = next(iter(defaults))
-    if args.source == "-":
+    source = getattr(args, "source", None)
+    if source == "-":
         doc = _stdin_doc()
         for key in defaults:
             if merged[key] is None and key in doc:
                 merged[key] = _stdin_value(doc, key, *_STDIN_TYPES[key])
-    elif positional_is_value:
-        merged[first] = args.source
-    elif args.source is not None:
-        raise ValueError(f"unexpected positional argument {args.source!r}; only '-' is allowed")
-    if merged[first] is None:
-        raise ValueError(missing)
-    return {key: defaults[key] if value is None else value for key, value in merged.items()}
-
-
-def _invariants(inputs: dict) -> DihedralInvariants:
-    return DihedralInvariants(_parse_rational_list(inputs["invariants"]), inputs["n"], inputs["delta"])
+    elif first == "equation":
+        merged[first] = source
+    elif source is not None:
+        raise ValueError(f"unexpected positional argument {source!r}; only '-' is allowed")
+    if first in _MISSING and merged[first] is None:
+        raise ValueError(_MISSING[first])
+    merged = {key: defaults[key] if value is None else value for key, value in merged.items()}
+    if "invariants" in merged:
+        merged["invariants"] = _parse_rational_list(merged["invariants"])
+    return merged
 
 
 _INTEGER = r"[+-]?[0-9]+"
-_RATIONAL = re.compile(rf"{_INTEGER}(/[0-9]+)?")
+_RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
+
+
+def _numeral(text: str) -> int:
+    """int(text) of an ASCII numeral; past the interpreter's limit the error names its length, not its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.strip().lstrip("+-"))
+        raise ValueError(f"a numeral of {digits} digits, over the limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _parse_rational(value) -> Fraction:
     """A JSON integer or the text [+-]digits[/digits]: no exponents, so no huge expansions."""
-    if type(value) in (str, int) and _RATIONAL.fullmatch(str(value).strip()):
-        try:
-            return Fraction(str(value).strip())
-        except (ValueError, ZeroDivisionError):
-            pass
+    match = type(value) in (str, int) and _RATIONAL.fullmatch(str(value).strip())
+    if match:
+        numerator, denominator = _numeral(match[1]), _numeral(match[2] or "1")
+        if denominator:
+            return Fraction(numerator, denominator)
     raise ValueError(f"not an exact rational: {value!r}")
 
 
-def _parse_rational_list(value) -> tuple[Fraction, ...]:
+def _parse_rational_list(value) -> list[Fraction]:
     if isinstance(value, str):
         parts = [piece for piece in value.split(",") if piece.strip()]
     else:
         parts = list(value)
     if not parts:
         raise ValueError("expected a nonempty comma-separated list of rationals")
-    return tuple(_parse_rational(piece) for piece in parts)
+    return [_parse_rational(piece) for piece in parts]
 
 
 def _field_section(inv: DihedralInvariants) -> dict:
@@ -274,25 +274,18 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_genus(args) -> dict:
-    return {
-        "inputs": {"n": args.n, "d": args.d},
-        "n": args.n,
-        "d": args.d,
-        "genus": genus(args.n, args.d),
-    }
+    inputs = _merged_input(args)
+    return {"inputs": inputs, **inputs, "genus": genus(inputs["n"], inputs["d"])}
 
 
 def _cmd_field(args) -> dict:
-    inv = _invariants(_merged_input(args))
-    return {
-        "inputs": {"invariants": list(inv.values), "n": inv.n, "delta": inv.delta},
-        **_field_section(inv),
-    }
+    inputs = _merged_input(args)
+    return {"inputs": inputs, **_field_section(DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"]))}
 
 
 def _cmd_reconstruct(args) -> dict:
     inputs = _merged_input(args)
-    inv = _invariants(inputs)
+    inv = DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"])
     degree = inv.delta * (inv.s + 1)
     if degree > MAX_DEGREE:
         raise ValueError(f"the rebuilt equation would have degree {degree}, above MAX_DEGREE = {MAX_DEGREE}")
@@ -305,7 +298,7 @@ def _cmd_reconstruct(args) -> dict:
             f"use --root {other} (root {plus if other == 'plus' else minus})"
         )
     return {
-        "inputs": {**inputs, "invariants": list(inv.values)},
+        "inputs": inputs,
         **_field_section(inv),
         "roots": {"plus": plus, "minus": minus},
         "root_choice": rec.root_choice,
@@ -316,41 +309,44 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _cmd_roundtrip(args) -> dict:
-    if args.random is not None:
-        if args.a is not None:
+    inputs = _merged_input(args)
+    count = inputs["random"]
+    if count is not None:
+        if inputs.pop("a") is not None:
             raise ValueError("give either --a or --random, not both")
-        if args.random < 1:
+        if count < 1:
             raise ValueError("--random needs a positive count")
-        if args.random > MAX_RANDOM:
-            raise ValueError(f"--random {args.random} is above MAX_RANDOM = {MAX_RANDOM}")
-        rng = random.Random(args.seed)
+        if count > MAX_RANDOM:
+            raise ValueError(f"--random {count} is above MAX_RANDOM = {MAX_RANDOM}")
+        rng = random.Random(inputs["seed"])
         counts = {"pass": 0, "skipped": 0, "fail": 0}
         failures = []
-        for index in range(args.random):
+        for index in range(count):
             size = rng.randint(2, 8)
             tuple_a = [
                 Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(size)
             ]
-            report = roundtrip_verify(tuple_a, args.n, args.delta)
+            report = roundtrip_verify(tuple_a, inputs["n"], inputs["delta"])
             counts[report.status] += 1
             if report.status == "fail":
                 failures.append(
                     {"index": index, "a": [str(v) for v in tuple_a], "reason": report.reason}
                 )
         return {
-            "inputs": {"random": args.random, "seed": args.seed, "n": args.n, "delta": args.delta},
-            "total": args.random,
+            "inputs": inputs,
+            "total": count,
             "passed": counts["pass"],
             "skipped": counts["skipped"],
             "failed": counts["fail"],
             "failures": failures,
         }
-    if args.a is None:
+    del inputs["random"], inputs["seed"]
+    if inputs["a"] is None:
         raise ValueError("no tuple given; use --a or --random N")
-    tuple_a = _parse_rational_list(args.a)
-    report = roundtrip_verify(tuple_a, args.n, args.delta)
+    inputs["a"] = _parse_rational_list(inputs["a"])
+    report = roundtrip_verify(inputs["a"], inputs["n"], inputs["delta"])
     return {
-        "inputs": {"a": list(tuple_a), "n": args.n, "delta": args.delta},
+        "inputs": inputs,
         "status": report.status,
         "reason": report.reason,
         "root_choice": report.root_choice,
@@ -363,12 +359,43 @@ def _ascii_int(text: str) -> int:
     if not re.fullmatch(_INTEGER, text.strip()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        return int(text)
-    except ValueError:  # more digits than the interpreter converts; name the length, not the digits
-        digits = len(text.strip().lstrip("+-"))
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: a numeral of {digits} digits, over the limit of {sys.get_int_max_str_digits()}"
-        ) from None
+        return _numeral(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {exc}") from None
+
+
+#: Each flag's argparse keywords, for every subcommand that takes it.
+_FLAGS = {
+    "invariants": {"help": "comma-separated rationals s_1,...,s_s"},
+    "a": {"help": "comma-separated interior coefficients a_1,...,a_s"},
+    "random": {"type": _ascii_int, "metavar": "N", "help": "run N random tuples instead of an explicit one"},
+    "seed": {"type": _ascii_int, "help": "seed for --random"},
+    "n": {"type": _ascii_int, "help": "superelliptic exponent"},
+    "d": {"type": _ascii_int, "help": "degree of f"},
+    "delta": {"type": _ascii_int, "help": "decimation step"},
+    "root": {"choices": ["plus", "minus"], "help": "which quadratic root becomes the leading coefficient"},
+}
+
+#: The message when a subcommand's first key is given nowhere.  Only these
+#: subcommands read stdin JSON, for the positional "-".
+_MISSING = {"equation": 'stdin JSON needs an "equation" key',
+            "invariants": "no invariants given; use --invariants or stdin JSON"}
+_SHAPE = {"n": 2, "delta": 2}
+
+#: Per subcommand, in usage order: its help, its function, and its input keys
+#: in echo order with their defaults (None: unset; ...: a flag argparse
+#: requires).  "equation" is the positional; every other key is a flag.
+_COMMANDS = {
+    "invariants": ("classify an equation and compute its invariants", _cmd_invariants,
+                   {"equation": None, "delta": None}),
+    "classify": ("detect the normal form of an equation", _cmd_classify, {"equation": None, "delta": None}),
+    "genus": ("genus of y^n = f(x) from n and deg f", _cmd_genus, {"n": ..., "d": ...}),
+    "field": ("field of moduli vs field of definition from invariants", _cmd_field, {"invariants": None, **_SHAPE}),
+    "reconstruct": ("rebuild an equation from invariants", _cmd_reconstruct,
+                    {"invariants": None, **_SHAPE, "root": "minus"}),
+    "roundtrip": ("forward-compute invariants, reconstruct, compare", _cmd_roundtrip,
+                  {"a": None, "random": None, "seed": 0, **_SHAPE}),
+}
 
 
 @functools.cache
@@ -379,53 +406,20 @@ def _build_parser() -> _ArgumentParser:
         description="Exact dihedral invariants and fields of definition for superelliptic curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, func in (
-        ("invariants", "classify an equation and compute its invariants", _cmd_invariants),
-        ("classify", "detect the normal form of an equation", _cmd_classify),
-    ):
+    for name, (help_text, func, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("source", metavar="equation", help="equation text, or - for stdin JSON")
-        p.add_argument("--delta", type=_ascii_int, default=None, help="pin delta instead of taking the maximal fit")
+        for key, default in defaults.items():
+            if key == "equation":
+                p.add_argument("source", metavar="equation", help="equation text, or - for stdin JSON")
+            else:
+                shown = "" if default is None or default is ... else f" (default {default})"
+                flag = {**_FLAGS[key], "help": _FLAGS[key]["help"] + shown}
+                p.add_argument(f"--{key}", **flag, required=default is ...)
+        if "invariants" in defaults:
+            p.add_argument("source", nargs="?", help="- to read stdin JSON")
+        p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True,
+                       help="emit JSON (default) or a plain listing with --no-json")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("genus", help="genus of y^n = f(x) from n and deg f")
-    p.add_argument("--n", type=_ascii_int, required=True, help="superelliptic exponent")
-    p.add_argument("--d", type=_ascii_int, required=True, help="degree of f")
-    p.set_defaults(func=_cmd_genus)
-
-    def add_invariant_inputs(p):
-        p.add_argument("source", nargs="?", default=None, help="- to read stdin JSON")
-        p.add_argument("--invariants", default=None, help="comma-separated rationals s_1,...,s_s")
-        p.add_argument("--n", type=_ascii_int, default=None, help="superelliptic exponent (default 2)")
-        p.add_argument("--delta", type=_ascii_int, default=None, help="decimation step (default 2)")
-
-    p = sub.add_parser("field", help="field of moduli vs field of definition from invariants")
-    add_invariant_inputs(p)
-    p.set_defaults(func=_cmd_field)
-
-    p = sub.add_parser("reconstruct", help="rebuild an equation from invariants")
-    add_invariant_inputs(p)
-    p.add_argument("--root", choices=["plus", "minus"], default=None,
-                   help="which quadratic root becomes the leading coefficient (default minus)")
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = sub.add_parser("roundtrip", help="forward-compute invariants, reconstruct, compare")
-    p.add_argument("--a", default=None, help="comma-separated interior coefficients a_1,...,a_s")
-    p.add_argument("--random", type=_ascii_int, default=None, metavar="N",
-                   help="run N random tuples instead of an explicit one")
-    p.add_argument("--seed", type=_ascii_int, default=0, help="seed for --random (default 0)")
-    p.add_argument("--n", type=_ascii_int, default=2, help="superelliptic exponent (default 2)")
-    p.add_argument("--delta", type=_ascii_int, default=2, help="decimation step (default 2)")
-    p.set_defaults(func=_cmd_roundtrip)
-
-    for p in sub.choices.values():
-        p.add_argument(
-            "--json",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="emit JSON (default) or a plain listing with --no-json",
-        )
     return parser
 
 
@@ -435,16 +429,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command, as_json, out = args.command, args.json, sys.stdout
         body, code = args.func(args), 0
+    except _Help as exc:
+        body, code, out = str(exc), 0, sys.stdout
     except UsageError as exc:
         body, code = _error_doc(exc), 2
     except (ValueError, ArithmeticError) as exc:
         body, code = _error_doc(exc), 1
-    doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
     try:
-        if as_json:
-            print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+        if isinstance(body, str):
+            out.write(body)
         else:
-            _print_human(doc, out)
+            doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
+            if as_json:
+                print(json.dumps(doc, sort_keys=True, indent=2), file=out)
+            else:
+                _print_human(doc, out)
         out.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so the

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superelliptic
-from superelliptic.cli import MAX_RANDOM, main
+from superelliptic.cli import MAX_RANDOM, _build_parser, main
 from superelliptic.equations import MAX_DEGREE
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
@@ -242,6 +244,33 @@ def test_a_numeral_past_the_int_conversion_limit_is_a_usage_error(capsys, argv):
     assert message == f"argument {argv[-1]}: invalid int value: a numeral of {limit + 1} digits, over the limit of {limit}"
 
 
+_LONG = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+
+
+@pytest.mark.skipif(len(_LONG) == 1, reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("field", "--invariants", f"{_LONG},1"), None),
+        (("roundtrip", "--a", f"1,-{_LONG}/7"), None),
+        (("field", "-"), f'{{"invariants": [{_LONG}, 1]}}'),
+        (("reconstruct", "-"), f'{{"invariants": ["1", "{_LONG}"]}}'),
+        (("invariants", "-"), f'{{"equation": "y^2 = x^6 + x^4 + 2x^2 + 1", "delta": -{_LONG}}}'),
+    ],
+    ids=["invariants_flag", "roundtrip_a", "stdin_json_integer", "stdin_invariants_text", "stdin_integer_key"],
+)
+def test_a_numeral_past_the_int_conversion_limit_is_named_by_its_length(capsys, monkeypatch, argv, stdin):
+    # the document names the digit count and the limit, not the digits
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == "" and len(out) < 500
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out)["error"] == {
+        "code": "invalid_input",
+        "message": f"a numeral of {limit + 1} digits, over the limit of {limit}",
+    }
+
+
 def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
     code, doc, _ = run_json(capsys, "genus", "--n", "+3", "--d", " 07 ")
     assert code == 0 and doc["n"] == 3 and doc["d"] == 7
@@ -347,8 +376,9 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [("genus", "--n", "3", "--d", "7"), ("genus", "--n", "2", "--d", "5", "--no-json")],
-                         ids=["json", "text"])
+@pytest.mark.parametrize("argv", [("genus", "--n", "3", "--d", "7"), ("genus", "--n", "2", "--d", "5", "--no-json"),
+                                  ("genus", "--help")],
+                         ids=["json", "text", "help"])
 def test_a_reader_that_closed_stdout_gets_exit_1_and_no_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -358,6 +388,46 @@ def test_a_reader_that_closed_stdout_gets_exit_1_and_no_traceback(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+#: Each subcommand's option strings, True where the flag is required.
+SUBCOMMAND_FLAGS = {
+    "invariants": {"--delta": False},
+    "classify": {"--delta": False},
+    "genus": {"--n": True, "--d": True},
+    "field": {"--invariants": False, "--n": False, "--delta": False},
+    "reconstruct": {"--invariants": False, "--n": False, "--delta": False, "--root": False},
+    "roundtrip": {"--a": False, "--random": False, "--seed": False, "--n": False, "--delta": False},
+}
+
+
+def test_each_subcommand_declares_its_flags():
+    top = _build_parser()._actions
+    subparsers = next(action for action in top if isinstance(action, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(SUBCOMMAND_FLAGS)
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        actions = subparsers[name]._actions
+        declared = {option: action.required for action in actions for option in action.option_strings}
+        expected = {"-h": False, "--help": False, **flags, "--json": False, "--no-json": False}
+        assert declared == expected, name
+    root = next(action for action in subparsers["reconstruct"]._actions if action.dest == "root")
+    assert root.choices == ["plus", "minus"]
+
+
+def test_roundtrip_random_echoes_its_defaults(capsys):
+    code, doc, err = run_json(capsys, "roundtrip", "--random", "2")
+    assert code == 0 and err == ""
+    assert doc["inputs"] == {"random": 2, "seed": 0, "n": 2, "delta": 2}
+
+
+@pytest.mark.parametrize("argv", [(), *((name,) for name in SUBCOMMAND_FLAGS)], ids=["top", *SUBCOMMAND_FLAGS])
+def test_help_prints_to_stdout_and_returns_0(capsys, argv):
+    code, out, err = run(capsys, *argv, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: superelliptic {' '.join(argv)}".rstrip())
+    # a subcommand's help lists its flags (--n, not just --no-json); the top level lists the subcommands
+    for word in SUBCOMMAND_FLAGS[argv[0]] if argv else SUBCOMMAND_FLAGS:
+        assert re.search(rf"{word}\b", out), word
 
 
 def test_the_parser_is_built_on_the_first_call_and_only_once():

@@ -43,6 +43,7 @@ CASES = {
     "field_stray_positional": (["field", "1,1"], None),
     "field_stdin_float_n": (["field", "-"], {"invariants": ["9", "4"], "n": 2.9}),
     "field_zero_denominator_text": (["field", "--invariants", "1/0", "--no-json"], None),
+    "field_stdin_text": (["field", "-", "--no-json"], {"invariants": [9, 4], "delta": 3}),
     "reconstruct": (["reconstruct", "--invariants", "1,1", "--root", "plus"], None),
     "reconstruct_text": (["reconstruct", "--invariants", "1,1", "--no-json"], None),
     "reconstruct_stdin_flag_wins": (["reconstruct", "-", "--root", "minus"], {"invariants": "9,4", "root": "plus"}),
@@ -50,6 +51,7 @@ CASES = {
     "roundtrip": (["roundtrip", "--a", "2,1"], None),
     "roundtrip_text": (["roundtrip", "--a", "2,1", "--no-json"], None),
     "roundtrip_random": (["roundtrip", "--random", "5", "--seed", "3"], None),
+    "roundtrip_random_text": (["roundtrip", "--random", "3", "--no-json"], None),
     "usage_missing_flag": (["genus", "--n", "3"], None),
     "usage_unknown_command": (["frobnicate"], None),
     "usage_missing_equation": (["invariants"], None),
