@@ -84,16 +84,24 @@ def _jsonable(value):
     return value
 
 
-def _print_human(value, out, indent=0):
+def _human_lines(value, indent=0):
     """A dict as "key: value" lines and a list as "- item" lines, nesting indented."""
     pad = "  " * indent
     for key, inner in value.items() if isinstance(value, dict) else ((None, inner) for inner in value):
         if isinstance(inner, (dict, list)):
             if key is not None:
-                print(f"{pad}{key}:", file=out)
-            _print_human(inner, out, indent + 1)
+                yield f"{pad}{key}:"
+            yield from _human_lines(inner, indent + 1)
         else:
-            print(f"{pad}- {inner}" if key is None else f"{pad}{key}: {inner}", file=out)
+            yield f"{pad}- {inner}" if key is None else f"{pad}{key}: {inner}"
+
+
+def _render(command: str, body: dict, as_json: bool) -> str:
+    """The whole document as text, so that an error while rendering leaves nothing written."""
+    doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
+    if as_json:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return "".join(line + "\n" for line in _human_lines(doc))
 
 
 _ERROR_CODES = (
@@ -435,15 +443,17 @@ def main(argv=None) -> int:
         body, code = _error_doc(exc), 2
     except (ValueError, ArithmeticError) as exc:
         body, code = _error_doc(exc), 1
+    if not isinstance(body, str):
+        try:
+            body = _render(command, body, as_json)
+        except ValueError:  # an int past the interpreter's limit for converting it to text
+            too_long = ValueError(
+                f"the result has a number of more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's limit for writing an integer as text"
+            )
+            body, code = _render(command, _error_doc(too_long), as_json), 1
     try:
-        if isinstance(body, str):
-            out.write(body)
-        else:
-            doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
-            if as_json:
-                print(json.dumps(doc, sort_keys=True, indent=2), file=out)
-            else:
-                _print_human(doc, out)
+        out.write(body)
         out.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so the

@@ -15,9 +15,11 @@ The reconstruction pivots on the quadratic
     2**(s+1) * T**2 - 2**(s+1) * s_1 * T + s_s**(s+1) = 0,
 
 whose roots are a_1**(s+1) and a_s**(s+1).  Its discriminant decides
-everything: a rational square means the curve lives over the field of moduli
-itself; a non-square means a genuine quadratic extension is needed; zero
-marks the degenerate family with a larger automorphism group, where this
+which field the rebuilt normal form needs: a rational square means the
+normal form lives over the field of moduli F itself; a non-square means it
+needs the quadratic extension F(sqrt(d)), which does not prove that no other
+model exists over F (descending to F is ROADMAP.md item 2); zero marks the
+degenerate family with a larger automorphism group, where this
 reconstruction does not apply.  Each tuple makes that decision once:
 ``DihedralInvariants.field_report`` runs the discriminant, its square test
 and its squarefree decomposition on first use, and ``field_of_definition``,
@@ -209,10 +211,12 @@ def leading_coefficients(inv: DihedralInvariants):
 
 @dataclass(frozen=True)
 class FieldReport:
-    """Whether the field of moduli already carries a model of the curve.
+    """Which field the normal form rebuilt from the invariants needs.
 
     ``field_description`` is "F" (the field of moduli itself) or
-    "F(sqrt(d))" with d the squarefree radicand of the discriminant.
+    "F(sqrt(d))" with d the squarefree radicand of the discriminant.  A
+    non-square discriminant proves only that the normal form needs
+    F(sqrt(d)), not that the curve has no model over F (ROADMAP.md item 2).
     ``square_part`` is the rational r >= 0 with
     ``discriminant == (squarefree_radicand or 1) * r**2``; it is 0 exactly
     on the degenerate locus.  Each DihedralInvariants builds its report once

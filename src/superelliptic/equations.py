@@ -4,8 +4,9 @@ The accepted form is ``y^N = POLY`` where POLY is a sum of terms
 ``[COEF][*]x[^EXP]`` plus optional constants; COEF is an integer or a
 rational ``p/q``; numerals are ASCII digits ``0-9``; whitespace is ignored
 everywhere; ``-`` binds to the term that follows it.  An exponent of x above
-``MAX_DEGREE``, or any numeral of more than 4300 digits, is refused with
-:class:`InputTooLargeError` before any polynomial is built.  Examples:
+``MAX_DEGREE``, or any numeral of more than 4300 digits (or of more than
+the interpreter's integer conversion limit, when that is lower), is refused
+with :class:`InputTooLargeError` before any polynomial is built.  Examples:
 
     >>> render_equation(*parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1"))
     'y^2 = 1*x^6 + 2*x^4 + 3*x^2 + 1'
@@ -27,6 +28,7 @@ back (reconstruction output is the only producer).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .exact import QuadExt
@@ -37,8 +39,9 @@ from .poly import Poly
 #: so a term x^e costs e + 1 coefficients before any check can run.
 MAX_DEGREE = 10_000
 
-#: Longest numeral the parser converts: CPython's int() refuses longer
-#: decimal text by default, with a message that carries no position.
+#: Longest numeral the parser converts, or the interpreter's integer
+#: conversion limit when that is lower (0 there means no limit): CPython's
+#: int() refuses longer decimal text with a message that carries no position.
 _MAX_DIGITS = 4300
 
 
@@ -79,8 +82,9 @@ def _tokenize(text: str):
 
 
 def _numeral(token) -> int:
-    if len(token[1]) > _MAX_DIGITS:
-        raise InputTooLargeError(f"a numeral has more than {_MAX_DIGITS} digits", token[2])
+    limit = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+    if len(token[1]) > limit:
+        raise InputTooLargeError(f"a numeral has more than {limit} digits", token[2])
     return int(token[1])
 
 

@@ -86,27 +86,28 @@ def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("root order must be >= 1")
     if k == 1 or n in (0, 1):
         return n, True
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo, lo**k == n
+    if k == 2:
+        root = math.isqrt(n)
+    else:
+        # Newton's iteration from 2**ceil(bits/k), above the root: it falls
+        # strictly until it reaches the floor of the root, then stops falling.
+        root = 1 << -(-n.bit_length() // k)
+        while (lower := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+            root = lower
+    return root, root**k == n
 
 
 def rational_nth_root(x, k: int) -> Fraction | None:
     """The exact rational k-th root of x, or None when no such rational exists.
 
     For even k the input must be nonnegative and the nonnegative root is
-    returned; for odd k the sign of the root follows the sign of x.
+    returned; for odd k the sign of the root follows the sign of x.  Because
+    Fraction keeps numerator and denominator coprime, |x| has a rational k-th
+    root exactly when both parts are integer k-th powers.
     """
     x = _exact(x)
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if x == 0:
-        return Fraction(0)
     if x < 0:
         if k % 2 == 0:
             return None
@@ -122,18 +123,10 @@ def rational_nth_root(x, k: int) -> Fraction | None:
 def is_perfect_square(x) -> tuple[bool, Fraction | None]:
     """Decide whether x is the square of a rational; return the root >= 0 if so.
 
-    Zero counts as a square with root 0.  Because Fraction keeps numerator and
-    denominator coprime, x is a square exactly when both parts are integer
-    squares.
+    Zero counts as a square with root 0.
     """
-    x = _exact(x)
-    if x < 0:
-        return False, None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return True, Fraction(num, den)
-    return False, None
+    root = rational_nth_root(x, 2)
+    return root is not None, root
 
 
 @dataclass(frozen=True)
@@ -153,41 +146,21 @@ class SquarefreeDecomposition:
         return self.squarefree_part * self.square_part**2
 
 
-def _odd_sieve(lo: int, hi: int) -> bytearray:
-    """Flags of the odd numbers lo+1, lo+3, ... below hi (lo even): 1 marks a prime."""
-    size = (hi - lo) // 2
+def _odd_sieve(hi: int) -> bytearray:
+    """Flags of the odd numbers 1, 3, 5, ... below hi: 1 marks a prime."""
+    size = hi // 2
     flags = bytearray(b"\x01") * size
-    if lo == 0 and size:
-        flags[0] = 0  # 1 is not a prime
-    zeros = memoryview(bytes(size))
-    root = math.isqrt(hi - 1)
-    base = compress(range(1, root + 1, 2), _odd_sieve(0, root + 1)) if root > 2 else ()
-    for p in base:
-        first = max(p * p, (lo // p + 1) * p)  # first multiple to cross out
-        if first % 2 == 0:
-            first += p
-        i = (first - lo - 1) // 2
-        if i < size:
-            flags[i::p] = zeros[: (size - 1 - i) // p + 1]
+    flags[0] = 0  # 1 is not a prime
+    for i in range(1, (math.isqrt(hi - 1) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # index of p*p; then every p-th index is the next odd multiple
+            flags[start::p] = bytes(len(range(start, size, p)))
     return flags
 
 
-def _window_products(first: int, last: int) -> list[int]:
-    """Products of the primes in windows first..last-1, sieved in one pass.
-
-    Window k is [k*_WINDOW, (k+1)*_WINDOW), clipped at DEFAULT_FACTOR_BOUND.
-    """
-    end = DEFAULT_FACTOR_BOUND + 1
-    flags = memoryview(_odd_sieve(first * _WINDOW, min(last * _WINDOW, end)))
-    products = []
-    for k in range(first, last):
-        lo = k * _WINDOW
-        odd = range(lo + 1, min(lo + _WINDOW, end), 2)
-        products.append(math.prod(compress(odd, flags[(lo - first * _WINDOW) // 2 :])) * (2 if k == 0 else 1))
-    return products
-
-
-#: Window products built so far, extended on demand.
+#: Window products built so far, extended on demand.  Window k is the primes
+#: in [k*_WINDOW, (k+1)*_WINDOW), clipped at DEFAULT_FACTOR_BOUND.
 #: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
 _kept_products: tuple[int, ...] = ()
 _DEFAULT_WINDOWS = DEFAULT_FACTOR_BOUND // _WINDOW + 1
@@ -199,7 +172,14 @@ def _kept_product(k: int) -> int:
     kept = _kept_products
     if k >= len(kept):
         last = min(max(k + 1, 2 * len(kept)), _DEFAULT_WINDOWS)
-        kept += tuple(_window_products(len(kept), last))
+        flags = memoryview(_odd_sieve(min(last * _WINDOW, DEFAULT_FACTOR_BOUND + 1)))
+        kept += tuple(
+            math.prod(
+                compress(range(j * _WINDOW + 1, (j + 1) * _WINDOW, 2), flags[j * _WINDOW // 2 :]),
+                start=2 if j == 0 else 1,  # window 0 also holds the even prime
+            )
+            for j in range(len(kept), last)
+        )
         _kept_products = kept
     return kept[k]
 

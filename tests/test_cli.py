@@ -271,6 +271,58 @@ def test_a_numeral_past_the_int_conversion_limit_is_named_by_its_length(capsys, 
     }
 
 
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """The interpreter's integer conversion limit set to ``limit`` for the block, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer conversion limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "no_json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genus", "--n", "9" * 4000, "--d", "9" * 4001),
+        ("field", "--invariants", "9" * 2500 + ",0"),
+        ("invariants", "y^2 = x^6 + " + "9" * 1500 + "x^4 + x^2 + 1"),
+    ],
+    ids=["genus", "field", "invariants"],
+)
+def test_a_result_too_long_to_print_is_one_error_document(capsys, argv, as_json):
+    # each input converts, but the result holds an int past the limit; nothing of it reaches stdout
+    with int_max_str_digits(4300):
+        code, out, err = run(capsys, *argv, *(() if as_json else ("--no-json",)))
+    assert code == 1 and err == "" and "9999" not in out
+    message = "the result has a number of more than 4300 digits, the interpreter's limit for writing an integer as text"
+    if as_json:
+        assert json.loads(out) == {
+            "schema_version": "1",
+            "command": argv[0],
+            "error": {"code": "invalid_input", "message": message},
+        }
+    else:
+        assert out == (
+            f"schema_version: 1\ncommand: {argv[0]}\nerror:\n  code: invalid_input\n  message: {message}\n"
+        )
+
+
+def test_an_equation_numeral_past_a_lowered_limit_is_input_too_large(capsys):
+    with int_max_str_digits(640):
+        code, doc, err = run_json(capsys, "classify", "y^2 = " + "7" * 1000 + "*x^6 + x^2 + 1")
+    assert code == 1 and err == ""
+    assert doc["error"] == {
+        "code": "input_too_large",
+        "message": "a numeral has more than 640 digits (at position 6)",
+        "position": 6,
+    }
+
+
 def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
     code, doc, _ = run_json(capsys, "genus", "--n", "+3", "--d", " 07 ")
     assert code == 0 and doc["n"] == 3 and doc["d"] == 7

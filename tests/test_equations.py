@@ -133,6 +133,30 @@ def test_exponent_cap_is_inclusive():
     assert excinfo.value.position == len(f"y^2 = x^{MAX_DEGREE} + x^")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("y^2 = " + "7" * 1000 + "*x^6 + x^2 + 1", 6),
+        ("y^2 = x^6 + 1/" + "7" * 641, 14),
+        ("y^" + "7" * 641 + " = x^6 + 1", 2),
+    ],
+    ids=["coefficient", "denominator", "n"],
+)
+def test_numeral_cap_follows_a_lower_interpreter_limit(text, position):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer conversion limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_equation("y^2 = x^6 + " + "7" * 640)[1].coefficient(0) == int("7" * 640)
+        with pytest.raises(InputTooLargeError) as excinfo:
+            parse_equation(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(excinfo.value) == f"a numeral has more than 640 digits (at position {position})"
+    assert excinfo.value.position == position
+
+
 def test_render_is_canonical():
     f = Poly([1, 0, 3, 0, 2, 0, 1])
     assert render_polynomial(f) == "1*x^6 + 2*x^4 + 3*x^2 + 1"

@@ -57,11 +57,17 @@ def test_integer_nth_root_examples():
         integer_nth_root(4, 0)
 
 
-@given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=12))
+@given(st.integers(min_value=0, max_value=2**4096), st.integers(min_value=1, max_value=64))
 def test_integer_nth_root_is_floor(n, k):
     root, exact = integer_nth_root(n, k)
     assert root**k <= n < (root + 1) ** k
     assert exact == (root**k == n)
+
+
+@given(st.integers(min_value=2, max_value=2**256), st.integers(min_value=2, max_value=64), st.sampled_from([-1, 0, 1]))
+def test_integer_nth_root_of_planted_powers(r, k, offset):
+    # r**k and its neighbours, where an off-by-one in the root would show
+    assert integer_nth_root(r**k + offset, k) == (r - 1 if offset < 0 else r, offset == 0)
 
 
 def test_rational_nth_root():
@@ -178,9 +184,14 @@ def test_squarefree_decompose_matches_sympy_factorint(numerator, denominator, si
         assert squarefree_decompose(x) == expected
 
 
+def env_with_src():
+    """os.environ with this package's source directory first on PYTHONPATH, for subprocesses."""
+    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_small_radicand_builds_only_the_first_prime_window():
     # a fresh interpreter, so the lazily built window products start empty
-    src = os.path.dirname(os.path.dirname(superelliptic.__file__))
     code = (
         "import tracemalloc\n"
         "from superelliptic.exact import squarefree_decompose\n"
@@ -188,10 +199,29 @@ def test_small_radicand_builds_only_the_first_prime_window():
         "squarefree_decompose(4 * (10**6 + 3))\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 64_000
+
+
+@pytest.mark.parametrize("touched_first", [0, 244], ids=["ascending", "last_window_first"])
+def test_kept_window_products_match_sympy_primes(touched_first):
+    # a fresh interpreter, so the table is built from empty in the given access order
+    code = (
+        "from superelliptic import exact\n"
+        f"exact._kept_product({touched_first})\n"
+        "print(*(hex(exact._kept_product(k)) for k in range(exact._DEFAULT_WINDOWS)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    products = [int(word, 16) for word in done.stdout.split()]
+    window = 4096
+    expected = [
+        math.prod(sympy.primerange(k * window, min((k + 1) * window, DEFAULT_FACTOR_BOUND + 1)))
+        for k in range(DEFAULT_FACTOR_BOUND // window + 1)
+    ]
+    assert len(products) == len(expected) == 245
+    assert [k for k, (got, want) in enumerate(zip(products, expected)) if got != want] == []
 
 
 def test_cofactor_length_limit():
