@@ -6,14 +6,15 @@ a plain key: value listing) and is byte-identical for identical invocations:
 keys are sorted, exact rationals are serialized as ``"p/q"`` strings (never
 floats), and quadratic-field elements as ``{"a": "p/q", "b": "p/q", "d": n}``.
 
-One table, ``_COMMANDS``, declares each subcommand's inputs, and one rule
-merges them: a set flag wins, then the stdin JSON value (where the
-positional ``-`` is accepted: ``invariants``, ``classify``, ``field``,
-``reconstruct``), then the default.  Every document echoes the result as
+``_COMMANDS`` declares each subcommand's input keys and ``_INPUTS`` each
+key's flag and stdin types.  ``main`` merges the inputs by one rule (a set
+flag wins, then the stdin JSON value where the positional ``-`` is accepted,
+then the default), hands them to the subcommand and echoes them as
 ``inputs``, in the table's key order.  A rational is a JSON integer or
 ``[+-]digits[/digits]`` text, an integer flag is ``[+-]digits``, and digits
-are ASCII ``0-9`` (no exponents or decimals).  A numeral past the
-interpreter's integer conversion limit is refused by its length.
+are ASCII ``0-9`` (no exponents or decimals).  On every route, a numeral of
+more than 4300 digits, or of more than the interpreter's integer conversion
+limit when that is lower, is refused by its length before it is converted.
 ``reconstruct`` refuses a rebuilt degree ``delta*(s+1)`` above
 ``MAX_DEGREE``, and ``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.
 Every document, errors included, carries ``schema_version`` and ``command``.
@@ -35,7 +36,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .curve import CurveValidationError, classify_normal_form, genus, validate
+from .curve import G_DELTA, CurveValidationError, classify_normal_form, genus, validate
 from .dihedral import (
     DegenerateLocusError,
     DihedralInvariants,
@@ -47,7 +48,8 @@ from .dihedral import (
     reconstruct,
     roundtrip_verify,
 )
-from .equations import MAX_DEGREE, EquationSyntaxError, InputTooLargeError, parse_equation, render_equation
+from .equations import (MAX_DEGREE, EquationSyntaxError, InputTooLargeError, _digit_limit, parse_equation,
+                        render_equation)
 from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
@@ -146,21 +148,17 @@ def _stdin_doc() -> dict:
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
 
 
-def _stdin_value(doc: dict, key: str, *kinds: type):
-    """doc[key], refused unless its JSON type is one of ``kinds``.
+def _stdin_value(doc: dict, key: str):
+    """doc[key], refused unless its JSON type is one that ``_INPUTS`` allows for ``key``.
 
     The test is on the exact type, so true/false are not integers and 2.0 is
     not one either: nothing is coerced.
     """
-    value = doc[key]
+    value, kinds = doc[key], _INPUTS[key][0]
     if type(value) not in kinds:
         expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
         raise ValueError(f'stdin JSON "{key}" must be {expected}, got {json.dumps(value)}')
     return value
-
-
-#: The JSON types each stdin key may have; no other key is read.
-_STDIN_TYPES = {"equation": (str,), "invariants": (str, list), "n": (int,), "delta": (int,), "root": (str,)}
 
 
 def _merged_input(args) -> dict:
@@ -173,13 +171,13 @@ def _merged_input(args) -> dict:
         doc = _stdin_doc()
         for key in defaults:
             if merged[key] is None and key in doc:
-                merged[key] = _stdin_value(doc, key, *_STDIN_TYPES[key])
+                merged[key] = _stdin_value(doc, key)
     elif first == "equation":
         merged[first] = source
     elif source is not None:
         raise ValueError(f"unexpected positional argument {source!r}; only '-' is allowed")
-    if first in _MISSING and merged[first] is None:
-        raise ValueError(_MISSING[first])
+    if _INPUTS[first][1] and merged[first] is None:
+        raise ValueError(_INPUTS[first][1])
     merged = {key: defaults[key] if value is None else value for key, value in merged.items()}
     if "invariants" in merged:
         merged["invariants"] = _parse_rational_list(merged["invariants"])
@@ -191,12 +189,11 @@ _RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
 
 
 def _numeral(text: str) -> int:
-    """int(text) of an ASCII numeral; past the interpreter's limit the error names its length, not its digits."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = len(text.strip().lstrip("+-"))
-        raise ValueError(f"a numeral of {digits} digits, over the limit of {sys.get_int_max_str_digits()}") from None
+    """int(text) of an ASCII numeral; past the digit limit the error names its length, not its digits."""
+    digits, limit = len(text.strip().lstrip("+-")), _digit_limit()
+    if digits > limit:
+        raise ValueError(f"a numeral of {digits} digits, over the limit of {limit}")
+    return int(text)
 
 
 def _parse_rational(value) -> Fraction:
@@ -235,13 +232,11 @@ def _field_section(inv: DihedralInvariants) -> dict:
     }
 
 
-def _cmd_invariants(args) -> dict:
-    inputs = _merged_input(args)
+def _cmd_invariants(inputs: dict) -> dict:
     n, f = parse_equation(inputs["equation"])
     curve = validate(n, f)
     nf, inv = invariants_for_curve(curve, inputs["delta"])
     return {
-        "inputs": inputs,
         "n": curve.n,
         "delta": nf.delta,
         "s": nf.s,
@@ -253,14 +248,12 @@ def _cmd_invariants(args) -> dict:
     }
 
 
-def _cmd_classify(args) -> dict:
-    inputs = _merged_input(args)
+def _cmd_classify(inputs: dict) -> dict:
     n, f = parse_equation(inputs["equation"])
     curve = validate(n, f)
     nf = classify_normal_form(curve, inputs["delta"])
-    invariants_supported = nf.kind == "GDelta" and (nf.s or 0) >= 2
+    invariants_supported = nf.kind == G_DELTA and (nf.s or 0) >= 2
     doc = {
-        "inputs": inputs,
         "n": curve.n,
         "d": curve.d,
         "genus": curve.genus,
@@ -275,24 +268,21 @@ def _cmd_classify(args) -> dict:
     if nf.kind is not None and not invariants_supported:
         doc["notice"] = (
             "dihedral invariants are not defined for this form"
-            if nf.kind != "GDelta"
+            if nf.kind != G_DELTA
             else "dihedral invariants need at least 2 interior coefficients"
         )
     return doc
 
 
-def _cmd_genus(args) -> dict:
-    inputs = _merged_input(args)
-    return {"inputs": inputs, **inputs, "genus": genus(inputs["n"], inputs["d"])}
+def _cmd_genus(inputs: dict) -> dict:
+    return {**inputs, "genus": genus(inputs["n"], inputs["d"])}
 
 
-def _cmd_field(args) -> dict:
-    inputs = _merged_input(args)
-    return {"inputs": inputs, **_field_section(DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"]))}
+def _cmd_field(inputs: dict) -> dict:
+    return _field_section(DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"]))
 
 
-def _cmd_reconstruct(args) -> dict:
-    inputs = _merged_input(args)
+def _cmd_reconstruct(inputs: dict) -> dict:
     inv = DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"])
     degree = inv.delta * (inv.s + 1)
     if degree > MAX_DEGREE:
@@ -301,12 +291,13 @@ def _cmd_reconstruct(args) -> dict:
     rec = reconstruct(inv, inputs["root"])
     if rec.leading_coefficient == 0:
         other = "plus" if rec.root_choice == "minus" else "minus"
+        root = str(plus if other == "plus" else minus)
+        named = f"root {root}" if len(root) <= 40 else f"a root of {sum(map(str.isdigit, root))} digits"
         raise ValueError(
             f"the {rec.root_choice} root is 0, which rebuilds y^{inv.n} = 1, not a curve; "
-            f"use --root {other} (root {plus if other == 'plus' else minus})"
+            f"use --root {other} ({named})"
         )
     return {
-        "inputs": inputs,
         **_field_section(inv),
         "roots": {"plus": plus, "minus": minus},
         "root_choice": rec.root_choice,
@@ -316,8 +307,8 @@ def _cmd_reconstruct(args) -> dict:
     }
 
 
-def _cmd_roundtrip(args) -> dict:
-    inputs = _merged_input(args)
+def _cmd_roundtrip(inputs: dict) -> dict:
+    """Drops the unused keys from ``inputs`` in place: "a", or "random" and "seed"."""
     count = inputs["random"]
     if count is not None:
         if inputs.pop("a") is not None:
@@ -341,7 +332,6 @@ def _cmd_roundtrip(args) -> dict:
                     {"index": index, "a": [str(v) for v in tuple_a], "reason": report.reason}
                 )
         return {
-            "inputs": inputs,
             "total": count,
             "passed": counts["pass"],
             "skipped": counts["skipped"],
@@ -354,7 +344,6 @@ def _cmd_roundtrip(args) -> dict:
     inputs["a"] = _parse_rational_list(inputs["a"])
     report = roundtrip_verify(inputs["a"], inputs["n"], inputs["delta"])
     return {
-        "inputs": inputs,
         "status": report.status,
         "reason": report.reason,
         "root_choice": report.root_choice,
@@ -372,22 +361,25 @@ def _ascii_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {exc}") from None
 
 
-#: Each flag's argparse keywords, for every subcommand that takes it.
-_FLAGS = {
-    "invariants": {"help": "comma-separated rationals s_1,...,s_s"},
-    "a": {"help": "comma-separated interior coefficients a_1,...,a_s"},
-    "random": {"type": _ascii_int, "metavar": "N", "help": "run N random tuples instead of an explicit one"},
-    "seed": {"type": _ascii_int, "help": "seed for --random"},
-    "n": {"type": _ascii_int, "help": "superelliptic exponent"},
-    "d": {"type": _ascii_int, "help": "degree of f"},
-    "delta": {"type": _ascii_int, "help": "decimation step"},
-    "root": {"choices": ["plus", "minus"], "help": "which quadratic root becomes the leading coefficient"},
+#: Per input key: the JSON types its stdin value may have (none: never read
+#: from stdin), the message when it is a subcommand's first key and given
+#: nowhere (only those subcommands read stdin JSON, for the positional "-"),
+#: and the argparse keywords of its flag (of the positional, for "equation").
+_INPUTS = {
+    "equation": ((str,), 'stdin JSON needs an "equation" key',
+                 {"metavar": "equation", "help": "equation text, or - for stdin JSON"}),
+    "invariants": ((str, list), "no invariants given; use --invariants or stdin JSON",
+                   {"help": "comma-separated rationals s_1,...,s_s"}),
+    "a": ((), None, {"help": "comma-separated interior coefficients a_1,...,a_s"}),
+    "random": ((), None, {"type": _ascii_int, "metavar": "N",
+                          "help": "run N random tuples instead of an explicit one"}),
+    "seed": ((), None, {"type": _ascii_int, "help": "seed for --random"}),
+    "n": ((int,), None, {"type": _ascii_int, "help": "superelliptic exponent"}),
+    "d": ((), None, {"type": _ascii_int, "help": "degree of f"}),
+    "delta": ((int,), None, {"type": _ascii_int, "help": "decimation step"}),
+    "root": ((str,), None, {"choices": ["plus", "minus"],
+                            "help": "which quadratic root becomes the leading coefficient"}),
 }
-
-#: The message when a subcommand's first key is given nowhere.  Only these
-#: subcommands read stdin JSON, for the positional "-".
-_MISSING = {"equation": 'stdin JSON needs an "equation" key',
-            "invariants": "no invariants given; use --invariants or stdin JSON"}
 _SHAPE = {"n": 2, "delta": 2}
 
 #: Per subcommand, in usage order: its help, its function, and its input keys
@@ -414,20 +406,19 @@ def _build_parser() -> _ArgumentParser:
         description="Exact dihedral invariants and fields of definition for superelliptic curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, defaults) in _COMMANDS.items():
+    for name, (help_text, _, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for key, default in defaults.items():
+            flag = _INPUTS[key][2]
             if key == "equation":
-                p.add_argument("source", metavar="equation", help="equation text, or - for stdin JSON")
+                p.add_argument("source", **flag)
             else:
                 shown = "" if default is None or default is ... else f" (default {default})"
-                flag = {**_FLAGS[key], "help": _FLAGS[key]["help"] + shown}
-                p.add_argument(f"--{key}", **flag, required=default is ...)
+                p.add_argument(f"--{key}", **{**flag, "help": flag["help"] + shown}, required=default is ...)
         if "invariants" in defaults:
             p.add_argument("source", nargs="?", help="- to read stdin JSON")
         p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True,
                        help="emit JSON (default) or a plain listing with --no-json")
-        p.set_defaults(func=func)
     return parser
 
 
@@ -436,7 +427,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         command, as_json, out = args.command, args.json, sys.stdout
-        body, code = args.func(args), 0
+        inputs = _merged_input(args)
+        body, code = {"inputs": inputs, **_COMMANDS[command][1](inputs)}, 0
     except _Help as exc:
         body, code, out = str(exc), 0, sys.stdout
     except UsageError as exc:

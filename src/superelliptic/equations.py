@@ -81,8 +81,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _digit_limit() -> int:
+    """The most digits a numeral may have, in equation text and in every CLI input."""
+    return min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+
+
 def _numeral(token) -> int:
-    limit = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+    limit = _digit_limit()
     if len(token[1]) > limit:
         raise InputTooLargeError(f"a numeral has more than {limit} digits", token[2])
     return int(token[1])

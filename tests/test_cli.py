@@ -323,6 +323,63 @@ def test_an_equation_numeral_past_a_lowered_limit_is_input_too_large(capsys):
     }
 
 
+#: Each route a numeral can take into the CLI, as (argv, stdin text) for a numeral.
+_NUMERAL_ROUTES = {
+    "invariants_flag": lambda numeral: (("field", "--invariants", f"{numeral},1"), ""),
+    "n_flag": lambda numeral: (("field", "--invariants", "1,1", "--n", numeral), ""),
+    "stdin_json_integer": lambda numeral: (("field", "-"), f'{{"invariants": [{numeral}, 1]}}'),
+    "stdin_rational_text": lambda numeral: (("field", "-"), f'{{"invariants": "{numeral},1"}}'),
+    "equation_coefficient": lambda numeral: (("classify", f"y^2 = {numeral}*x^6 + x^2 + 1"), ""),
+}
+
+
+def _length_refusal(route, digits, cap):
+    """The (exit code, error) that refuses a numeral of ``digits`` digits on ``route`` by its length."""
+    message = f"a numeral of {digits} digits, over the limit of {cap}"
+    if route == "n_flag":
+        return 2, {"code": "usage_error", "message": f"argument --n: invalid int value: {message}"}
+    if route == "equation_coefficient":
+        return 1, {"code": "input_too_large", "message": f"a numeral has more than {cap} digits (at position 6)",
+                   "position": 6}
+    return 1, {"code": "invalid_input", "message": message}
+
+
+@pytest.mark.parametrize("route", sorted(_NUMERAL_ROUTES))
+@pytest.mark.parametrize("limit", [None, 0, 640, 10000], ids=["default", "unlimited", "640", "10000"])
+def test_every_route_refuses_a_numeral_at_the_same_cap(capsys, monkeypatch, route, limit):
+    # the cap is 4300 digits, or the interpreter's conversion limit when that is lower (0: no limit)
+    with contextlib.nullcontext() if limit is None else int_max_str_digits(limit):
+        cap = min(4300, sys.get_int_max_str_digits() or 4300)
+        outcomes = []
+        for digits in (cap, cap + 1):
+            argv, stdin = _NUMERAL_ROUTES[route]("9" * digits)
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code, out, err = run(capsys, *argv)
+            outcomes.append((code, json.loads(out or err).get("error")))
+    # a numeral of cap digits is read: the run succeeds or fails later, in the mathematics
+    assert outcomes[0][1] is None or outcomes[0][1]["code"] not in ("invalid_input", "usage_error", "input_too_large")
+    assert outcomes[1] == _length_refusal(route, cap + 1, cap)
+
+
+def test_a_huge_numeral_is_refused_by_its_length_even_without_an_interpreter_limit(capsys):
+    with int_max_str_digits(0):
+        start = time.perf_counter()
+        code, doc, err = run_json(capsys, "field", "--invariants", "9" * 100_000 + ",1")
+        elapsed = time.perf_counter() - start
+    assert code == 1 and err == ""
+    assert doc["error"] == {"code": "invalid_input", "message": "a numeral of 100000 digits, over the limit of 4300"}
+    assert elapsed < 1
+
+
+def test_a_long_zero_root_is_named_by_its_length(capsys):
+    code, out, err = run(capsys, "reconstruct", "--invariants", "9" * 1500 + ",0")
+    assert code == 1 and err == "" and len(out) < 500 and not re.search("[0-9]{100}", out)
+    assert json.loads(out)["error"] == {
+        "code": "invalid_input",
+        "message": "the minus root is 0, which rebuilds y^2 = 1, not a curve; use --root plus (a root of 1500 digits)",
+    }
+
+
 def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
     code, doc, _ = run_json(capsys, "genus", "--n", "+3", "--d", " 07 ")
     assert code == 0 and doc["n"] == 3 and doc["d"] == 7

@@ -29,6 +29,7 @@ CASES = {
     "invariants_stdin_without_equation": (["invariants", "-"], {"delta": 2}),
     "invariants_syntax_error": (["invariants", "y^2 = x^6 + * 1"], None),
     "classify_xg": (["classify", "y^3 = x^7 + 5*x^4 + x"], None),
+    "classify_text": (["classify", "y^3 = x^7 + 5*x^4 + x", "--no-json"], None),
     "classify_stdin_flag_wins": (["classify", "-", "--delta", "4"],
                                  {"equation": "y^2 = x^8 + 5x^4 + 1", "delta": 2}),
     "classify_delta_zero": (["classify", "y^2 = x^8 + 5x^4 + 1", "--delta", "0"], None),
@@ -48,10 +49,12 @@ CASES = {
     "reconstruct_text": (["reconstruct", "--invariants", "1,1", "--no-json"], None),
     "reconstruct_stdin_flag_wins": (["reconstruct", "-", "--root", "minus"], {"invariants": "9,4", "root": "plus"}),
     "reconstruct_degenerate": (["reconstruct", "--invariants", "2,2"], None),
+    "reconstruct_zero_root": (["reconstruct", "--invariants", "27,0"], None),
     "roundtrip": (["roundtrip", "--a", "2,1"], None),
     "roundtrip_text": (["roundtrip", "--a", "2,1", "--no-json"], None),
     "roundtrip_random": (["roundtrip", "--random", "5", "--seed", "3"], None),
     "roundtrip_random_text": (["roundtrip", "--random", "3", "--no-json"], None),
+    "roundtrip_a_and_random": (["roundtrip", "--a", "2,1", "--random", "3"], None),
     "usage_missing_flag": (["genus", "--n", "3"], None),
     "usage_unknown_command": (["frobnicate"], None),
     "usage_missing_equation": (["invariants"], None),
