@@ -154,20 +154,17 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
     best = patterns[0]
     f = curve.f
     if best.residue == 0:
-        r = Fraction(1)
         lc = f.leading_coefficient()
-        if lc != 1:
-            root = rational_nth_root(1 / lc, f.degree)
-            if root is None:
-                return NormalForm(
-                    kind=None,
-                    diagnostic=(
-                        f"leading coefficient {lc} needs an irrational rescale to reach "
-                        "the monic normal form; supply the curve rescaled by hand"
-                    ),
-                )
-            f = f.scale_x(root)
-            r = root
+        r = Fraction(1) if lc == 1 else rational_nth_root(1 / lc, f.degree)
+        if r is None:
+            return NormalForm(
+                kind=None,
+                diagnostic=(
+                    f"leading coefficient {lc} needs an irrational rescale to reach "
+                    "the monic normal form; supply the curve rescaled by hand"
+                ),
+            )
+        # f(r*x) has the coefficient f_e * r**e on x**e; its constant term is f's
         if f.coefficient(0) != 1:
             return NormalForm(
                 kind=None,
@@ -177,6 +174,8 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
                 ),
             )
         a = tuple([f.coefficient(best.delta * i) for i in range(1, best.s + 1)])
+        if r != 1:
+            a = tuple([c * r ** (best.delta * i) for i, c in enumerate(a, 1)])
         return NormalForm(G_DELTA, best.delta, best.s, a, r)
     if f.leading_coefficient() != 1 or f.coefficient(1) != 1:
         return NormalForm(

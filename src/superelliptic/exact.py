@@ -108,15 +108,12 @@ def rational_nth_root(x, k: int) -> Fraction | None:
     x = _exact(x)
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if x < 0:
-        if k % 2 == 0:
-            return None
-        root = rational_nth_root(-x, k)
-        return None if root is None else -root
-    num, num_exact = integer_nth_root(x.numerator, k)
+    if x < 0 and k % 2 == 0:
+        return None
+    num, num_exact = integer_nth_root(abs(x.numerator), k)
     den, den_exact = integer_nth_root(x.denominator, k)
     if num_exact and den_exact:
-        return Fraction(num, den)
+        return Fraction(-num if x < 0 else num, den)
     return None
 
 

@@ -3,8 +3,9 @@
 Coefficients live in whatever exact field the caller supplies: Fraction for
 most of the library, :class:`~superelliptic.exact.QuadExt` for reconstructed
 equations.  The only requirements are exact +, -, * and an honest
-``__eq__`` against 0.  ``Poly`` holds coefficients and offers the ring
-operations; :func:`~superelliptic.equations.render_polynomial` writes it out.
+``__eq__`` against 0; an int becomes a Fraction and a float raises
+TypeError.  ``Poly`` holds coefficients and offers the ring operations;
+:func:`~superelliptic.equations.render_polynomial` writes it out.
 
 Discriminants are exact over Q by the integer subresultant PRS: rational
 content is pulled out, and the remainder sequence runs on primitive integer
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exact import _exact
 
 
 class Poly:
@@ -35,7 +38,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if not isinstance(c, int) else Fraction(c) for c in coeffs]
+        cs = [_exact(c) if isinstance(c, (int, float)) else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -54,7 +57,7 @@ class Poly:
             coeffs[e] = coeffs.get(e, 0) + c
         if not coeffs:
             return cls.zero()
-        out = [0] * (max(coeffs) + 1)
+        out = [Fraction(0)] * (max(coeffs) + 1)
         for e, c in coeffs.items():
             out[e] = c
         return cls(out)
@@ -115,15 +118,6 @@ class Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    def scale_x(self, r) -> "Poly":
-        """The polynomial p(r*x)."""
-        out = []
-        power = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * r
         return Poly(out)
 
     def __repr__(self):

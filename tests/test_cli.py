@@ -233,21 +233,19 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
     assert json.loads(err)["error"] == {"code": "usage_error", "message": f"argument {flag}: invalid int value: {value!r}"}
 
 
-@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-                    reason="this interpreter converts numerals of any length")
+#: The numeral cap: 4300 digits, or the interpreter's conversion limit when that is lower (0: no limit).
+_CAP = min(4300, sys.get_int_max_str_digits() or 4300)
+_LONG = "9" * (_CAP + 1)
+
+
 @pytest.mark.parametrize("argv", [("roundtrip", "--random"), ("genus", "--d", "3", "--n")], ids=["random", "genus_n"])
 def test_a_numeral_past_the_int_conversion_limit_is_a_usage_error(capsys, argv):
-    limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, *argv, " +" + "9" * (limit + 1))
+    code, out, err = run(capsys, *argv, " +" + _LONG)
     assert code == 2 and out == ""
     message = json.loads(err)["error"]["message"]
-    assert message == f"argument {argv[-1]}: invalid int value: a numeral of {limit + 1} digits, over the limit of {limit}"
+    assert message == f"argument {argv[-1]}: invalid int value: a numeral of {_CAP + 1} digits, over the limit of {_CAP}"
 
 
-_LONG = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
-
-
-@pytest.mark.skipif(len(_LONG) == 1, reason="this interpreter converts numerals of any length")
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -264,10 +262,9 @@ def test_a_numeral_past_the_int_conversion_limit_is_named_by_its_length(capsys, 
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     code, out, err = run(capsys, *argv)
     assert code == 1 and err == "" and len(out) < 500
-    limit = sys.get_int_max_str_digits()
     assert json.loads(out)["error"] == {
         "code": "invalid_input",
-        "message": f"a numeral of {limit + 1} digits, over the limit of {limit}",
+        "message": f"a numeral of {_CAP + 1} digits, over the limit of {_CAP}",
     }
 
 

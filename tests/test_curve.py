@@ -1,8 +1,12 @@
 import math
 import random
+import time
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from superelliptic.curve import (
     G_DELTA,
@@ -167,3 +171,42 @@ def test_classify_recovers_synthesized_normal_forms():
         assert (nf.kind, nf.delta, nf.s) == (G_DELTA, delta, s)
         assert nf.a == tuple(interior)
         recovered += 1
+
+
+@st.composite
+def rescaled_normal_forms(draw):
+    """(delta, s, interior a, r0, f) with f(x) = F(x/r0) for the normal form F of interior a."""
+    delta = draw(st.integers(2, 5))
+    s = draw(st.integers(2, 6))
+    a = draw(st.lists(st.fractions(-9, 9, max_denominator=6), min_size=s, max_size=s))
+    r0 = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+    coeffs = [Fraction(0)] * (delta * (s + 1) + 1)
+    for i, c in enumerate([Fraction(1), *a, Fraction(1)]):
+        coeffs[delta * i] = c / r0 ** (delta * i)
+    return delta, s, tuple(a), r0, Poly(coeffs)
+
+
+@given(rescaled_normal_forms())
+def test_classify_undoes_a_rational_rescale(drawn):
+    delta, s, a, r0, f = drawn
+    try:
+        curve = validate(2, f)
+    except CurveValidationError:
+        assume(False)  # a repeated root
+    nf = classify_normal_form(curve, delta=delta)
+    r = abs(r0) if f.degree % 2 == 0 else r0
+    assert (nf.kind, nf.delta, nf.s, nf.rescale) == (G_DELTA, delta, s, r)
+    assert nf.a == tuple(c * (r / r0) ** (delta * i) for i, c in enumerate(a, 1))
+
+
+def test_classify_reads_a_huge_rescaled_curve_quickly():
+    # 2^9996*x^9996 + x^4998 + 1: a rescale by 1/2, and 3 of 9997 coefficients to read.  The curve
+    # is squarefree, but validating it takes seconds and classify reads only f, so it is not validated.
+    curve = types.SimpleNamespace(n=2, f=Poly.from_terms([(2**9996, 9996), (1, 4998), (1, 0)]))
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        nf = classify_normal_form(curve)
+        timings.append(time.perf_counter() - start)
+    assert (nf.kind, nf.delta, nf.s, nf.a, nf.rescale) == (G_DELTA, 4998, 1, (Fraction(1, 2**4998),), Fraction(1, 2))
+    assert min(timings) < 0.02

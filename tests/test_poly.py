@@ -55,9 +55,16 @@ def test_ring_operations_agree_with_evaluation(p, q, x):
     assert evaluate(-p, x) == -evaluate(p, x)
 
 
-@given(polys, small_coeffs, small_coeffs)
-def test_scale_x_is_substitution(p, r, x):
-    assert evaluate(p.scale_x(r), x) == evaluate(p, r * x)
+def test_construction_refuses_floats_and_keeps_exact_coefficients():
+    with pytest.raises(TypeError, match="floats are not exact; pass a Fraction or an int"):
+        Poly([0.5, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Poly.from_terms([(1, 6), (0.5, 0)])
+    half = Fraction(1, 2)
+    root = QuadExt(half, Fraction(1, 4), 2)
+    p = Poly([half, root, 3])
+    assert p.coeffs == (half, root, Fraction(3))
+    assert p.coeffs[0] is half and p.coeffs[1] is root and type(p.coeffs[2]) is Fraction
 
 
 def to_sympy(p):
