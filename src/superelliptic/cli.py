@@ -54,7 +54,7 @@ from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
 
-#: The largest N that ``roundtrip --random N`` runs (~0.45 ms per tuple).
+#: The largest N that ``roundtrip --random N`` runs (~0.2 ms per tuple).
 MAX_RANDOM = 10000
 
 

@@ -49,6 +49,15 @@ circulates,
 
 is wrong: for a = (2, 1) it yields 144/65 where the true coefficient is
 a_1*a_s = 2.  The roundtrip test suite adjudicates this; see README.
+
+The invariants, their discriminant, the root split and the certificate of a
+rational reconstruction run on integers: each routine writes its rational
+inputs over one common denominator D (``exact._cleared``), evaluates the
+formulas above on the integer numerators, and builds one Fraction per
+result, so each value costs one gcd instead of one per intermediate
+product.  Fractions are canonical, so the results are exactly those of the
+formulas evaluated on Fractions.  The certificate over Q(sqrt(d)) stays
+QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .curve import G_DELTA, SuperellipticCurve, _integer_at_least, _n_message, classify_normal_form
-from .exact import QuadExt, _exact, is_perfect_square, squarefree_decompose
+from .exact import QuadExt, _cleared, _exact, is_perfect_square, squarefree_decompose
 from .poly import Poly
 
 
@@ -147,27 +156,38 @@ class DihedralInvariants:
         parts are None.
         """
         report = self.field_report
-        s, head, tail = self.s, self.values[0], self.values[-1]
-        half = head / 2
-        sigma = report.square_part / 2 ** (s + 2)
+        s = self.s
+        # s_j = v[j-1]/den, and root = square_part = root.numerator / root.denominator
+        den, v = _cleared(self.values)
+        root = report.square_part
         d = report.squarefree_radicand or 1
         if report.is_square:
-            roots = half + sigma, half - sigma
+            # s_1/2 +- sigma over the denominator 2**(s+2) * den * root.denominator
+            centre = (v[0] * root.denominator) << (s + 1)
+            shift = root.numerator * den
+            scale = (den * root.denominator) << (s + 2)
+            roots = Fraction(centre + shift, scale), Fraction(centre - shift, scale)
         else:
-            shift = QuadExt(0, sigma, d)
+            half = Fraction(v[0], 2 * den)
+            shift = QuadExt(0, Fraction(root.numerator, root.denominator << (s + 2)), d)
             roots = half + shift, half - shift
         if report.is_degenerate:
             return roots, None, None
-        # parts[i-1] = (A_i - s_1*B_i/2) * scale with A_i = (s_s/2)**i * s_i,
-        # B_i = s_{s+1-i} and scale = 1/(2*sigma*d); power carries scale*(s_s/2)**i
-        scale = 1 / (2 * sigma * d)
-        step, gap, power = tail / 2, head * scale, scale
+        # With g = 2*den, A_i = (s_s/2)**i * s_i, B_i = s_{s+1-i} and 2*sigma*d = root*d/2**(s+1):
+        #   halves[i-1] = B_i/2 = v[s-i]/g,
+        #   parts[i-1] = (A_i - s_1*B_i/2) / (2*sigma*d)
+        #              = top * (v[s-1]**i * v[i-1] - g**(i-1) * v[s-i] * v[0]) / (bottom * g**i),
+        # with top = 2**(s+1) * root.denominator and bottom = root.numerator * d * den.
+        g, top = 2 * den, root.denominator << (s + 1)
+        power, lower, bottom = 1, 1, root.numerator * d * den
         halves, parts = [], []
         for i in range(1, s):
-            power *= step
-            half_b = self.values[s - i] / 2
-            halves.append(half_b)
-            parts.append(power * self.values[i - 1] - half_b * gap)
+            power *= v[-1]
+            bottom *= g
+            b = v[s - i]
+            halves.append(Fraction(b, g))
+            parts.append(Fraction(top * (power * v[i - 1] - lower * b * v[0]), bottom))
+            lower *= g
         return roots, halves, parts
 
 
@@ -181,19 +201,25 @@ def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
     s = len(a)
     if s < 2:
         raise ValueError(f"need at least 2 interior coefficients, got {s}")
-    first, last = a[0], a[-1]
-    values = tuple([
-        first ** (s + 1 - i) * a[i - 1] + last ** (s + 1 - i) * a[s - i]
-        for i in range(1, s + 1)
-    ])
-    return DihedralInvariants(values, n, delta)
+    # a_j = v[j-1]/den: s_i = (v[0]**k * v[i-1] + v[s-1]**k * v[s-i]) / den**(k+1), k = s+1-i
+    den, v = _cleared(a)
+    values = [None] * s
+    first, last, scale = 1, 1, den
+    for k in range(1, s + 1):
+        first *= v[0]
+        last *= v[-1]
+        scale *= den
+        values[s - k] = Fraction(first * v[s - k] + last * v[k - 1], scale)
+    return DihedralInvariants(tuple(values), n, delta)
 
 
 def dihedral_discriminant(inv: DihedralInvariants) -> Fraction:
     """Discriminant of the quadratic satisfied by a_s**(s+1); zero iff degenerate."""
     s = inv.s
-    head, tail = inv.values[0], inv.values[-1]
-    return 2 ** (s + 1) * (2 ** (s + 1) * head**2 - 4 * tail ** (s + 1))
+    # 2**(s+1) * (2**(s+1) * s_1**2 - 4 * s_s**(s+1)) with s_1 = head/den and s_s = tail/den
+    den, (head, tail) = _cleared((inv.values[0], inv.values[-1]))
+    num = 2 ** (s + 3) * (2 ** (s - 1) * head * head * den ** (s - 1) - tail ** (s + 1))
+    return Fraction(num, den ** (s + 1))
 
 
 def leading_coefficients(inv: DihedralInvariants):
@@ -283,10 +309,21 @@ class ReconstructedCurve:
         lead = self.leading_coefficient
         if lead == 0:
             raise ValueError("leading coefficient 0: the rebuilt equation y^n = 1 determines no invariants")
-        inverse = 1 / lead
         c = (*self.interior_coefficients, lead)
         s = self.s
-        return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
+        if any(isinstance(x, QuadExt) for x in c):
+            inverse = 1 / lead
+            return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
+        # c_j = v[j-1]/den, so with k = s+1-i
+        #   s_i = (v[0]**k * v[i-1] + den**(k-1) * v[s-1] * v[s-i]) / (v[s-1] * den**k)
+        den, v = _cleared(c)
+        values = [None] * s
+        first, scale = 1, v[-1]
+        for k in range(1, s + 1):
+            first *= v[0]
+            values[s - k] = Fraction(first * v[s - k] + scale * v[k - 1], scale * den)
+            scale *= den
+        return tuple(values)
 
 
 def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> ReconstructedCurve:
@@ -345,7 +382,7 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
     is a fail.  Tuples on the degenerate locus are reported as skipped, not
     failed, since reconstruction is undefined there.
     """
-    a = tuple(_exact(v) for v in a)
+    a = tuple([_exact(v) for v in a])
     inv = compute_invariants(a, n, delta)
     if field_of_definition(inv).is_degenerate:
         return RoundtripReport(status="skipped", reason="degenerate locus (discriminant 0)")
@@ -363,13 +400,18 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
         )
     rec = reconstruct(inv, choice)
     checks = 1  # the chosen root, the rebuilt L, equals the forward value
+    # a_j = v[j-1]/den, so the forward value a_i * a_s**i is v[i-1] * v[s-1]**i / den**(i+1)
+    den, v = _cleared(a)
+    power, scale = 1, den
     for i in range(1, s):
-        expected = a[i - 1] * a[-1] ** i
+        power *= v[-1]
+        scale *= den
         got = rec.interior_coefficients[i - 1]
-        if got != expected:
+        if got.numerator * scale != v[i - 1] * power * got.denominator:
             return RoundtripReport(
                 status="fail",
-                reason=f"coefficient {i}: reconstructed {got}, forward value {expected}",
+                reason=f"coefficient {i}: reconstructed {got}, "
+                f"forward value {Fraction(v[i - 1] * power, scale)}",
                 root_choice=choice,
                 checks=checks,
             )

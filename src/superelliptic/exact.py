@@ -46,10 +46,29 @@ class FactorBoundExceededError(ArithmeticError):
 
 
 def _exact(value) -> Fraction:
-    """Coerce ``value`` to Fraction, rejecting floats (they are not exact)."""
+    """Coerce ``value`` to Fraction, rejecting floats (they are not exact).
+
+    A value whose type is exactly Fraction is already canonical and immutable,
+    so it is returned as it is; ints and Fraction subclasses are converted.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction or an int")
     return Fraction(value)
+
+
+def _cleared(values) -> tuple[int, list[int]]:
+    """(D, [v*D for v in values]): the least common denominator of the rationals ``values``.
+
+    ``values`` are ints or Fractions.  Arithmetic on the integer numerators
+    takes no gcd per step, so a result over a power of D costs one Fraction
+    and one gcd, where the same formula on Fractions normalizes every
+    intermediate product.
+    """
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return den, [v.numerator * (den // q) for v, q in zip(values, dens)]
 
 
 def _is_probable_prime(n: int) -> bool:

@@ -321,31 +321,52 @@ def test_roundtrip_s1_zero_regression():
     assert roundtrip_verify([1, -1], 2, 2).status == "pass"
 
 
-def test_roundtrip_reports_each_fail(monkeypatch):
-    # a = (2, 3, 1) rebuilds with L = 1 and c = (2, 3): 1 root check, 2 coefficients, s_1 and s_2
-    a = [2, 3, 1]
+def assert_each_fail(monkeypatch, a, reasons, shift_index=1, shift=1):
+    """Break the root, coefficient ``shift_index + 1`` and s_1 in turn; ``reasons`` are the three texts."""
     assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("pass", None, "minus", 5)
     with monkeypatch.context() as m:
         m.setattr(dihedral, "leading_coefficients", lambda inv: (Fraction(5), Fraction(7)))
-        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
-            "fail", "neither quadratic root equals the forward value 1", None, 0
-        )
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("fail", reasons[0], None, 0)
     with monkeypatch.context() as m:
-        def off_by_one(inv, choice):
+        def off(inv, choice):
             rec = reconstruct(inv, choice)
-            c = rec.interior_coefficients
-            return dataclasses.replace(rec, interior_coefficients=(c[0], c[1] + 1))
+            c = list(rec.interior_coefficients)
+            c[shift_index] += shift
+            return dataclasses.replace(rec, interior_coefficients=tuple(c))
 
-        m.setattr(dihedral, "reconstruct", off_by_one)
-        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
-            "fail", "coefficient 2: reconstructed 4, forward value 3", "minus", 2
-        )
+        m.setattr(dihedral, "reconstruct", off)
+        checks = shift_index + 1  # the root and the coefficients before the broken one
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("fail", reasons[1], "minus", checks)
     with monkeypatch.context() as m:
-        wrong = (Fraction(18), Fraction(15), Fraction(4))
+        values = compute_invariants(a, 2, 2).values
+        wrong = (values[0] + 1, *values[1:])
         m.setattr(dihedral.ReconstructedCurve, "invariant_values", lambda rec: wrong)
-        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport(
-            "fail", "certificate: the rebuilt equation gives s_1 = 18, not 17", "minus", 3
-        )
+        assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("fail", reasons[2], "minus", 3)
+
+
+def test_roundtrip_reports_each_fail(monkeypatch):
+    # a = (2, 3, 1) rebuilds with L = 1 and c = (2, 3): 1 root check, 2 coefficients, s_1 and s_2
+    assert_each_fail(monkeypatch, [2, 3, 1], (
+        "neither quadratic root equals the forward value 1",
+        "coefficient 2: reconstructed 4, forward value 3",
+        "certificate: the rebuilt equation gives s_1 = 18, not 17",
+    ))
+
+
+def test_roundtrip_reports_each_fail_with_denominators(monkeypatch):
+    # a = (2/3, -5/7, 1/2) rebuilds with L = 1/16 and c = (1/3, -5/28); the coefficient
+    # check compares a_i * a_s**i by cross-multiplication and prints the reduced Fraction
+    a = [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)]
+    assert_each_fail(monkeypatch, a, (
+        "neither quadratic root equals the forward value 1/16",
+        "coefficient 2: reconstructed 23/28, forward value -5/28",
+        "certificate: the rebuilt equation gives s_1 = 1633/1296, not 337/1296",
+    ))
+    assert_each_fail(monkeypatch, a, (
+        "neither quadratic root equals the forward value 1/16",
+        "coefficient 1: reconstructed 8/15, forward value 1/3",
+        "certificate: the rebuilt equation gives s_1 = 1633/1296, not 337/1296",
+    ), shift_index=0, shift=Fraction(1, 5))
 
 
 @settings(max_examples=300)

@@ -17,6 +17,8 @@ from superelliptic.exact import (
     QuadExt,
     RadicandMismatchError,
     SquarefreeDecomposition,
+    _cleared,
+    _exact,
     integer_nth_root,
     is_perfect_square,
     rational_nth_root,
@@ -42,6 +44,27 @@ def naive_squarefree_part(n):
             out *= p
         p += 1
     return out * n
+
+
+def test_exact_keeps_a_fraction_and_converts_everything_else():
+    q = Fraction(-7, 3)
+    assert _exact(q) is q
+
+    class SubFraction(Fraction):
+        pass
+
+    for value, expected in ((5, Fraction(5)), (True, Fraction(1)), (SubFraction(1, 2), Fraction(1, 2))):
+        got = _exact(value)
+        assert type(got) is Fraction and got == expected
+    with pytest.raises(TypeError, match="floats are not exact; pass a Fraction or an int"):
+        _exact(0.5)
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-(10**30), 10**30)), max_size=8))
+def test_cleared_puts_every_value_over_the_least_common_denominator(values):
+    den, numerators = _cleared(values)
+    assert den == math.lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(num, den) for num in numerators] == [Fraction(v) for v in values]
 
 
 def test_integer_nth_root_examples():

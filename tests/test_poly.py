@@ -148,7 +148,7 @@ def test_discriminant_matches_sympy_exactly():
 def test_discriminant_is_defined_over_q_only():
     root2 = QuadExt(0, 1, 2)
     for quad in (Poly([root2, 1, 1]), Poly([1, root2]), Poly([QuadExt(3, 0, 2), 0, 1])):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="discriminants are defined over Q here, not for the coefficient QuadExt"):
             discriminant(quad)
     for bad in (Poly.zero(), Poly([3])):
         with pytest.raises(ValueError):
