@@ -40,9 +40,9 @@ s_1 - 2*L_+- = -+2*sigma*sqrt(d), and the identity splits as
     c_i = B_i/2 -+ (A_i - s_1*B_i/2) / (2*sigma*d) * sqrt(d).
 
 The rational parts B_i/2 and the irrational parts are the same for both
-roots, so one pass of rational arithmetic per tuple
-(``DihedralInvariants._root_split``) gives both rebuilt equations, which
-are Galois conjugates when d != 1.  An alternative closed form for c_i that
+roots, so one pass per tuple (``DihedralInvariants._root_split``) gives
+both rebuilt equations, which are Galois conjugates when d != 1;
+``reconstruct`` picks one of them and does no arithmetic.  An alternative closed form for c_i that
 circulates,
 
     2**(s-i) * s_1 * (s_s**i * s_i - T * s_{s+1-i}) / (2**s * s_1**2 - s_s**(s+1)),
@@ -62,7 +62,6 @@ QuadExt arithmetic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -146,14 +145,14 @@ class DihedralInvariants:
 
     @cached_property
     def _root_split(self) -> tuple:
-        """Both quadratic roots and the split they share, worked out on first use.
+        """Both quadratic roots and both rebuilt equations, worked out on first use.
 
-        Returns ``((plus, minus), halves, parts)``.  The roots are
-        s_1/2 +- sigma*sqrt(d) with sigma = square_part/2**(s+2), and the
-        root L_+- rebuilds c_i = halves[i-1] -+ parts[i-1]*sqrt(d), with
-        d = 1 when the discriminant is a square (module docstring).  On the
-        degenerate locus sigma = 0: both roots are s_1/2, and halves and
-        parts are None.
+        Returns ``((plus, minus), interiors)``.  The roots are
+        s_1/2 +- sigma*sqrt(d) with sigma = square_part/2**(s+2), and
+        ``interiors[root]`` holds the c_i = B_i/2 -+ q_i*sqrt(d) that the root
+        rebuilds, with d = 1 when the discriminant is a square (module
+        docstring).  On the degenerate locus sigma = 0: both roots are s_1/2,
+        and ``interiors`` is None.
         """
         report = self.field_report
         s = self.s
@@ -172,23 +171,28 @@ class DihedralInvariants:
             shift = QuadExt(0, Fraction(root.numerator, root.denominator << (s + 2)), d)
             roots = half + shift, half - shift
         if report.is_degenerate:
-            return roots, None, None
-        # With g = 2*den, A_i = (s_s/2)**i * s_i, B_i = s_{s+1-i} and 2*sigma*d = root*d/2**(s+1):
-        #   halves[i-1] = B_i/2 = v[s-i]/g,
-        #   parts[i-1] = (A_i - s_1*B_i/2) / (2*sigma*d)
-        #              = top * (v[s-1]**i * v[i-1] - g**(i-1) * v[s-i] * v[0]) / (bottom * g**i),
-        # with top = 2**(s+1) * root.denominator and bottom = root.numerator * d * den.
+            return roots, None
+        # With g = 2*den, A_i = (s_s/2)**i * s_i, B_i = s_{s+1-i}, 2*sigma*d = root*d/2**(s+1),
+        # low = root.numerator * d * den * g**(i-1) and bottom = low * g:
+        #   B_i/2 = v[s-i] * low / bottom and q_i = (A_i - s_1*B_i/2) / (2*sigma*d) = q / bottom,
+        # with q = top * (v[s-1]**i * v[i-1] - g**(i-1) * v[s-i] * v[0]) and top = 2**(s+1) * root.denominator.
         g, top = 2 * den, root.denominator << (s + 1)
         power, lower, bottom = 1, 1, root.numerator * d * den
-        halves, parts = [], []
+        plus, minus = [], []
         for i in range(1, s):
             power *= v[-1]
-            bottom *= g
             b = v[s - i]
-            halves.append(Fraction(b, g))
-            parts.append(Fraction(top * (power * v[i - 1] - lower * b * v[0]), bottom))
+            low, bottom = bottom, bottom * g
+            q = top * (power * v[i - 1] - lower * b * v[0])
+            if report.is_square:
+                plus.append(Fraction(b * low - q, bottom))
+                minus.append(Fraction(b * low + q, bottom))
+            else:
+                half_b = Fraction(b, g)
+                plus.append(QuadExt._of(half_b, Fraction(-q, bottom), d))
+                minus.append(QuadExt._of(half_b, Fraction(q, bottom), d))
             lower *= g
-        return roots, halves, parts
+        return roots, {"plus": tuple(plus), "minus": tuple(minus)}
 
 
 def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
@@ -229,8 +233,8 @@ def leading_coefficients(inv: DihedralInvariants):
     the tuple's field report.  When the discriminant is a rational square
     both roots are Fractions; otherwise they are conjugate QuadExt elements
     over the squarefree radicand of the discriminant.  The pair is worked
-    out once per tuple, with the split that ``reconstruct`` assembles both
-    rebuilt equations from, and every call returns the same objects.
+    out once per tuple, in the same pass that builds both rebuilt
+    equations, and every call returns the same objects.
     """
     return inv._root_split[0]
 
@@ -339,10 +343,9 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
     one.  On the degenerate locus (discriminant 0) reconstruction is
     refused.
 
-    The coefficients are assembled from the tuple's shared split (module
-    docstring): c_i = B_i/2 -+ q_i*sqrt(d), with the rational parts B_i/2
-    and the q_i worked out once per tuple; a root then costs s - 1 additions
-    over Q, or at most s - 1 sign flips over Q(sqrt(d)).  The leading
+    Both rebuilt equations are built once per tuple, in the root split
+    (module docstring); this picks the chosen root's.  Every call returns
+    the same ``interior_coefficients`` tuple for a root, and the leading
     coefficient is the very object ``leading_coefficients`` returns.
     """
     if root_choice not in ("plus", "minus"):
@@ -352,16 +355,9 @@ def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> Reconstr
             "discriminant 0: the curve has extra automorphisms beyond the dihedral "
             "family and this reconstruction does not apply"
         )
-    (plus, minus), halves, parts = inv._root_split
+    (plus, minus), interiors = inv._root_split
     lead = plus if root_choice == "plus" else minus
-    d = inv.field_report.squarefree_radicand
-    if d is None:
-        interior = tuple(map(operator.sub if root_choice == "plus" else operator.add, halves, parts))
-    else:
-        if root_choice == "plus":
-            parts = [-q for q in parts]
-        interior = tuple([QuadExt._of(r, q, d) for r, q in zip(halves, parts)])
-    return ReconstructedCurve(lead, interior, inv.n, inv.delta, inv.s, root_choice)
+    return ReconstructedCurve(lead, interiors[root_choice], inv.n, inv.delta, inv.s, root_choice)
 
 
 @dataclass(frozen=True)
@@ -388,16 +384,18 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
         return RoundtripReport(status="skipped", reason="degenerate locus (discriminant 0)")
     s = inv.s
     target = a[-1] ** (s + 1)
+
+    def fail(reason):
+        return RoundtripReport(status="fail", reason=reason, root_choice=choice, checks=checks)
+
+    choice, checks = None, 0
     plus, minus = leading_coefficients(inv)
     if plus == target:
         choice = "plus"
     elif minus == target:
         choice = "minus"
     else:
-        return RoundtripReport(
-            status="fail",
-            reason=f"neither quadratic root equals the forward value {target}",
-        )
+        return fail(f"neither quadratic root equals the forward value {target}")
     rec = reconstruct(inv, choice)
     checks = 1  # the chosen root, the rebuilt L, equals the forward value
     # a_j = v[j-1]/den, so the forward value a_i * a_s**i is v[i-1] * v[s-1]**i / den**(i+1)
@@ -408,25 +406,15 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
         scale *= den
         got = rec.interior_coefficients[i - 1]
         if got.numerator * scale != v[i - 1] * power * got.denominator:
-            return RoundtripReport(
-                status="fail",
-                reason=f"coefficient {i}: reconstructed {got}, "
-                f"forward value {Fraction(v[i - 1] * power, scale)}",
-                root_choice=choice,
-                checks=checks,
-            )
+            forward = Fraction(v[i - 1] * power, scale)
+            return fail(f"coefficient {i}: reconstructed {got}, forward value {forward}")
         checks += 1
     # The certificate adds s_1..s_(s-1) whenever it is defined, that is L != 0
     # (s_s = 2*c_1 repeats the c_1 check above); with a_s = 0 it is skipped.
     if target != 0:
         for i, (got, expected) in enumerate(zip(rec.invariant_values()[:-1], inv.values), start=1):
             if got != expected:
-                return RoundtripReport(
-                    status="fail",
-                    reason=f"certificate: the rebuilt equation gives s_{i} = {got}, not {expected}",
-                    root_choice=choice,
-                    checks=checks,
-                )
+                return fail(f"certificate: the rebuilt equation gives s_{i} = {got}, not {expected}")
             checks += 1
     return RoundtripReport(status="pass", root_choice=choice, checks=checks)
 

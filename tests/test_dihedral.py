@@ -268,6 +268,19 @@ def test_roots_and_split_are_shared_by_every_reader(monkeypatch):
     assert calls["squarefree_decompose"] == 1
 
 
+@pytest.mark.parametrize("values", [(9, 4), (1, 1), (1, 0)], ids=["square", "non-square", "zero-root"])
+def test_reconstruct_returns_the_same_coefficients_on_every_call(values):
+    inv = DihedralInvariants(tuple(map(Fraction, values)), 2, 2)
+    for choice in ("plus", "minus"):
+        first, again = reconstruct(inv, choice), reconstruct(inv, choice)
+        assert again.interior_coefficients is first.interior_coefficients
+        assert again.leading_coefficient is first.leading_coefficient
+    degenerate = compute_invariants([1, 1], 2, 2)
+    for _ in range(2):
+        with pytest.raises(DegenerateLocusError):
+            reconstruct(degenerate)
+
+
 def count_analysis_calls(monkeypatch):
     """Count the square tests and squarefree decompositions the dihedral module runs."""
     calls = {"is_perfect_square": 0, "squarefree_decompose": 0}

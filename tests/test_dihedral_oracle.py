@@ -103,14 +103,17 @@ def check_tuple(inv):
     except FactorBoundExceededError:
         assume(False)
     split = oracle_root_split(inv.values, report)
-    same(inv._root_split, split)
+    interiors = None if report.is_degenerate else {
+        root: oracle_interior(split, report.squarefree_radicand, root) for root in ("plus", "minus")
+    }
+    same(inv._root_split, (split[0], interiors))
     same(leading_coefficients(inv), split[0])
     if report.is_degenerate:
         return
     for root, lead in zip(("plus", "minus"), split[0]):
         rec = reconstruct(inv, root)
         same(rec.leading_coefficient, lead)
-        same(rec.interior_coefficients, oracle_interior(split, report.squarefree_radicand, root))
+        same(rec.interior_coefficients, interiors[root])
         if lead != 0:
             same(rec.invariant_values(), oracle_invariant_values(rec))
 
