@@ -36,6 +36,15 @@ MAX_COFACTOR_BITS = 2048
 #: Width of the prime windows whose products the trial-division pass uses.
 _WINDOW = 4096
 
+#: Windows per block: from window _BLOCK on, one gcd against a block's
+#: product screens all of its windows at once.
+_BLOCK = 16
+
+#: Smallest strong pseudoprime to all 13 prime bases up to 41, the product
+#: 1287836182261 * 2575672364521 (Sorenson & Webster, "Strong pseudoprimes
+#: to twelve prime bases", Math. Comp. 86, 2017).
+_PSI13 = 3317044064679887385961981
+
 
 class RadicandMismatchError(ValueError):
     """Raised when combining elements of Q(sqrt(d)) and Q(sqrt(d')) with d != d'."""
@@ -72,8 +81,10 @@ def _cleared(values) -> tuple[int, list[int]]:
 
 
 def _is_probable_prime(n: int) -> bool:
-    # Miller-Rabin with the 13 prime bases up to 41: deterministic for
-    # n < 3.3e24 (~81 bits), a probable-prime test above that.
+    # Miller-Rabin with the 13 prime bases up to 41: a proof of primality for
+    # n < _PSI13 = 3317044064679887385961981 (~81 bits), the least strong
+    # pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86, 2017);
+    # a probable-prime test from there on.
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -200,6 +211,36 @@ def _kept_product(k: int) -> int:
     return kept[k]
 
 
+#: Block products, built whole from the kept window products on first use.
+#: Block i covers windows [_BLOCK*(i+1), _BLOCK*(i+2)); the last block also
+#: takes the short tail up to window _DEFAULT_WINDOWS - 1.
+_kept_blocks: tuple[int, ...] = ()
+_BLOCK_EDGES = (*range(_BLOCK, _DEFAULT_WINDOWS - _BLOCK + 1, _BLOCK), _DEFAULT_WINDOWS)
+#: First window of a block -> (block index, window after its last).
+_SCREENS = {start: (i, end) for i, (start, end) in enumerate(zip(_BLOCK_EDGES, _BLOCK_EDGES[1:]))}
+
+
+def _tree_product(values: list[int]) -> int:
+    """The product of ``values`` by a balanced tree: operands of similar length meet."""
+    while len(values) > 1:
+        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
+
+
+def _kept_block(i: int) -> int:
+    """Block i's product; the first call builds every block."""
+    global _kept_blocks
+    if not _kept_blocks:
+        _kept_product(_DEFAULT_WINDOWS - 1)  # one sieve for the whole window table
+        _kept_blocks = tuple(_tree_product(list(_kept_products[start:end])) for start, (_, end) in _SCREENS.items())
+    return _kept_blocks[i]
+
+
+def _reach(end: int) -> int:
+    """Every prime below this is divided out once the windows before ``end`` are walked."""
+    return min(end * _WINDOW, DEFAULT_FACTOR_BOUND + 1)
+
+
 def squarefree_decompose(x) -> SquarefreeDecomposition:
     """Write nonzero rational x as d * r**2 with d a squarefree integer, r > 0.
 
@@ -208,16 +249,25 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     and one gcd of what is left against the product of a window's primes
     finds all of them that divide it; a chain of gcds then reads off their
     exponents.  The walk stops early once the next window starts above the
-    square root of what is left.  The window products (~180 KB) are built
-    on first use, a doubling prefix at a time, and kept; nothing is built
-    at import.
+    square root of what is left.  It also stops after window 0, or after a
+    window that divided something out, when what is left lies below
+    ``_PSI13`` (~81 bits) and passes the 13-base Miller-Rabin test, which
+    there proves it prime.  From window 16 on, a block of 16 windows (the
+    last one takes the 5-window tail) that lies wholly below the square
+    root of what is left gets one gcd against the product of its windows;
+    when that gcd is 1 the walk skips the block.  The window products
+    (~180 KB) are built on first use, a doubling prefix at a time, and the
+    14 block products (~168 KB) are built all at once from them by a
+    balanced product tree when a block is first screened; both are kept,
+    and nothing is built at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
-    prime or the square of a prime.  Below 3.3e24 (~81 bits) the 13-base
-    Miller-Rabin test that decides this is deterministic; above that it is a
-    probable-prime test.  A cofactor longer than ``MAX_COFACTOR_BITS`` that
-    is not the square of a shorter prime is not tested, and anything harder
-    raises :class:`FactorBoundExceededError` instead of silently grinding.
+    prime or the square of a prime.  Below ``_PSI13`` the 13-base
+    Miller-Rabin test that decides this is deterministic; from there on it
+    is a probable-prime test.  A cofactor longer than ``MAX_COFACTOR_BITS``
+    that is not the square of a shorter prime is not tested, and anything
+    harder raises :class:`FactorBoundExceededError` instead of silently
+    grinding.
     """
     x = _exact(x)
     if x == 0:
@@ -227,10 +277,19 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     sign = -1 if x < 0 else 1
     squarefree = 1
     root = 1
-    for k in range(_DEFAULT_WINDOWS):
-        reach = min((k + 1) * _WINDOW, DEFAULT_FACTOR_BOUND + 1)  # every prime below reach is divided out
+    k = 0
+    while k < _DEFAULT_WINDOWS:
+        if k in _SCREENS:
+            i, end = _SCREENS[k]
+            edge = _reach(end)
+            # the walk visits every window of a block below sqrt(n), and none divides n when the gcd is 1
+            if edge * edge <= n and math.gcd(n, _kept_block(i)) == 1:
+                k, reach = end, edge
+                continue
+        reach = _reach(k + 1)  # every prime below reach is divided out
         # g holds the primes of the window with exponent >= j in n, for j = 1, 2, ...
         g = math.gcd(n, _kept_product(k))
+        divided = k == 0 or g > 1  # window 0 counts as dividing: the first chance to stop
         odd = True
         while g > 1:
             n //= g
@@ -243,6 +302,12 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
             odd = not odd
         if reach * reach > n:
             break
+        if divided and n < _PSI13 and _is_probable_prime(n):
+            # below _PSI13 the test proves n prime, and the rest of the walk would only multiply it in
+            squarefree *= n
+            n = 1
+            break
+        k += 1
     if n > 1:
         if reach * reach > n:
             squarefree *= n  # no prime factor below reach and below reach**2: prime

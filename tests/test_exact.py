@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superelliptic
+from superelliptic import exact
 from superelliptic.exact import (
     DEFAULT_FACTOR_BOUND,
     MAX_COFACTOR_BITS,
@@ -186,19 +188,39 @@ def expected_decomposition(x, factors, bound):
     return SquarefreeDecomposition((1 if x > 0 else -1) * squarefree, Fraction(root, x.denominator))
 
 
-#: Primes at the edges of the first two prime windows, inside the second, and at the default bound.
-EDGE_PRIMES = (4093, 4099, 4111, 4999, 5003, 8191, 999983, 1000003)
+#: Primes at the edges of the first two prime windows, inside the second, at the edges of the
+#: first two blocks of 16 windows (65536 and 131072) and at the default bound.
+EDGE_PRIMES = (4093, 4099, 4111, 4999, 5003, 8191, 65521, 65537, 131071, 131101, 999983, 1000003)
+
+#: Smallest strong pseudoprime to the 13 prime bases up to 41 (Sorenson & Webster 2017).
+PSI13 = 1287836182261 * 2575672364521
+
+#: A 40-bit prime, the largest prime below PSI13, and two primes inside the blocks.
+LARGE_PLANTS = (sympy.prevprime(2**40), sympy.prevprime(PSI13), 524287, 999331)
+
+# a large plant is at most squared, so what lies above the bound stays under MAX_COFACTOR_BITS
 planted = st.tuples(
     st.sampled_from(EDGE_PRIMES) | st.integers(min_value=2, max_value=5000),
     st.integers(min_value=1, max_value=3),
-)
+) | st.tuples(st.sampled_from(LARGE_PLANTS), st.integers(min_value=1, max_value=2))
+
+
+def planted_factors(plants):
+    """The factorization of the product of p**k over ``plants``, as a Counter."""
+    factors = Counter()
+    for p, k in plants:
+        for q, e in sympy.factorint(p).items():
+            factors[q] += e * k
+    return factors
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(planted, max_size=5), st.lists(planted, max_size=4), st.sampled_from([1, -1]))
 def test_squarefree_decompose_matches_sympy_factorint(numerator, denominator, sign):
     x = Fraction(sign * math.prod(p**k for p, k in numerator), math.prod(p**k for p, k in denominator))
-    factors = sympy.factorint(abs(x.numerator) * x.denominator)
+    # factored plant by plant, since factorint of a product of large plants can take long
+    above, below = planted_factors(numerator), planted_factors(denominator)
+    factors = {q: abs(above[q] - below[q]) for q in above | below if above[q] != below[q]}  # of |p|*q
     expected = expected_decomposition(x, factors, DEFAULT_FACTOR_BOUND)
     if expected is None:
         with pytest.raises(FactorBoundExceededError, match="neither prime nor a prime square"):
@@ -245,6 +267,64 @@ def test_kept_window_products_match_sympy_primes(touched_first):
     ]
     assert len(products) == len(expected) == 245
     assert [k for k, (got, want) in enumerate(zip(products, expected)) if got != want] == []
+
+
+@pytest.mark.parametrize("touched_first", [0, 13], ids=["ascending", "last_block_first"])
+def test_kept_block_products_match_sympy_primes(touched_first):
+    # a fresh interpreter, so the block table is built from empty, after the given first touch
+    code = (
+        "from superelliptic import exact\n"
+        f"exact._kept_block({touched_first})\n"
+        "print(*(hex(exact._kept_block(i)) for i in range(14)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    products = [int(word, 16) for word in done.stdout.split()]
+    window = 4096
+    # block i covers windows 16*(i+1) to 16*(i+2) - 1; the last also takes windows 240-244
+    edges = [16 * (i + 1) * window for i in range(14)] + [DEFAULT_FACTOR_BOUND + 1]
+    expected = [math.prod(sympy.primerange(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    assert len(products) == len(expected) == 14
+    assert [i for i, (got, want) in enumerate(zip(products, expected)) if got != want] == []
+
+
+def reads(monkeypatch, x):
+    """(result or refusal, windows read, blocks read) of squarefree_decompose(x)."""
+    exact._kept_block(0)  # both tables built first, so only the walk's own reads are counted
+    windows, blocks = [], []
+
+    def counted(kept, log):
+        return lambda k: log.append(k) or kept(k)
+
+    monkeypatch.setattr(exact, "_kept_product", counted(exact._kept_product, windows))
+    monkeypatch.setattr(exact, "_kept_block", counted(exact._kept_block, blocks))
+    try:
+        result = squarefree_decompose(x)
+    except FactorBoundExceededError as exc:
+        result = exc
+    monkeypatch.undo()
+    return result, windows, blocks
+
+
+def test_walk_stops_at_a_proven_prime_and_screens_blocks(monkeypatch):
+    for prime in (2**61 - 1, sympy.prevprime(PSI13)):
+        # window 0 divides out the 3, and what is left is proven prime below PSI13
+        assert reads(monkeypatch, 3 * prime) == (SquarefreeDecomposition(3 * prime, Fraction(1)), [0], [])
+    p = sympy.nextprime(10**40)
+    refused, windows, blocks = reads(monkeypatch, 3 * p * sympy.nextprime(p))
+    assert isinstance(refused, FactorBoundExceededError)
+    assert (windows, blocks) == (list(range(16)), list(range(14)))
+    # below 4096**2 the walk ends after window 0, as it always did
+    assert reads(monkeypatch, 4 * (10**6 + 3)) == (SquarefreeDecomposition(10**6 + 3, Fraction(2)), [0], [])
+
+
+def test_no_early_exit_at_psi13(monkeypatch):
+    assert exact._PSI13 == PSI13
+    assert exact._is_probable_prime(PSI13)  # composite, yet a strong pseudoprime to all 13 bases
+    result, windows, blocks = reads(monkeypatch, 3 * PSI13)
+    # the full walk ran; accepting PSI13 as a prime is right here only because it is squarefree
+    assert (windows, blocks) == (list(range(16)), list(range(14)))
+    assert result == SquarefreeDecomposition(3 * PSI13, Fraction(1))
 
 
 def test_cofactor_length_limit():
