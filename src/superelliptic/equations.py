@@ -2,11 +2,18 @@
 
 The accepted form is ``y^N = POLY`` where POLY is a sum of terms
 ``[COEF][*]x[^EXP]`` plus optional constants; COEF is an integer or a
-rational ``p/q``; numerals are ASCII digits ``0-9``; whitespace is ignored
-everywhere; ``-`` binds to the term that follows it.  An exponent of x above
-``MAX_DEGREE``, or any numeral of more than 4300 digits (or of more than
-the interpreter's integer conversion limit, when that is lower), is refused
-with :class:`InputTooLargeError` before any polynomial is built.  Examples:
+rational ``p/q``; numerals are ASCII digits ``0-9``; Unicode whitespace
+(``str.isspace``) may separate tokens but never splits a numeral, so
+``y^2 = x^6 + 1 2`` is two numerals and a syntax error; ``-`` binds to the
+term that follows it.  An exponent of x above ``MAX_DEGREE``, or any numeral
+of more than 4300 digits (or of more than the interpreter's integer
+conversion limit, when that is lower), is refused with
+:class:`InputTooLargeError` before any polynomial is built.
+
+Two compiled regexes read the text: one the head ``y^N =``, one a term at a
+time.  Text they do not take whole, or that fails a check, goes to a token
+parser, the only source of syntax errors, which reads it again and raises
+with the position of the problem.  Examples:
 
     >>> render_equation(*parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1"))
     'y^2 = 1*x^6 + 2*x^4 + 3*x^2 + 1'
@@ -28,6 +35,7 @@ back (reconstruction output is the only producer).
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -163,9 +171,77 @@ class _Parser:
         return int(digits)
 
 
+#: ``y^N =`` and one term ``[sign] [p[/q]] [*] [x[^e]]``, each with the
+#: whitespace after it; the exponent group drops leading zeros.  ``\s`` is
+#: exactly ``str.isspace`` and numerals are ``[0-9]``, as in ``_tokenize``.
+#: All of a term after its sign is optional, so a match never fails; it backs
+#: up at most over one whitespace run (the lookahead after ``*``) or one zero,
+#: so it is linear in the text it reads.
+_HEAD = re.compile(r"\s*y\s*\^\s*([0-9]+)\s*=\s*")
+_TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?(?:\*\s*(?=x))?)?(x\s*(?:\^\s*0*([0-9]+)\s*)?)?")
+
+
+def _read_terms(text: str):
+    """(n, Poly) if the regexes take ``text`` whole and every check passes, else None.
+
+    The checks of ``_Parser``, each before the int() or the polynomial it
+    guards, but a failed one returns None instead of raising: the parser
+    then reads the text again and raises the error with its position.
+    """
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    limit = _digit_limit()
+    if len(head[1]) > limit:
+        return None
+    n = int(head[1])
+    if n < 2:
+        return None
+    terms = []
+    cap = len(str(MAX_DEGREE))
+    pos, end = head.end(), len(text)
+    while True:
+        term = _TERM.match(text, pos)
+        sign, numeral, denominator, power, exponent = term.groups()
+        if terms and not sign:
+            return None
+        if numeral is not None:
+            if len(numeral) > limit:
+                return None
+            if denominator is None:
+                coeff = Fraction(int(sign + numeral))
+            else:
+                if len(denominator) > limit or not int(denominator):
+                    return None
+                coeff = Fraction(int(sign + numeral), int(denominator))
+        elif power is not None:
+            coeff = Fraction(-1 if sign == "-" else 1)
+        else:
+            return None
+        if power is None:
+            e = 0
+        elif exponent is None:
+            e = 1
+        else:
+            # compared as text first: int() refuses numerals of over 4300 digits
+            if len(exponent) > cap:
+                return None
+            e = int(exponent)
+            if e > MAX_DEGREE:
+                return None
+        terms.append((coeff, e))
+        pos = term.end()
+        if pos == end:
+            return n, Poly.from_terms(terms)
+
+
 def parse_equation(text: str):
-    """Parse ``y^N = POLY`` into (n, Poly); repeated exponents are summed."""
-    return _Parser(text).parse()
+    """Parse ``y^N = POLY`` into (n, Poly); repeated exponents are summed.
+
+    The regex term path reads every text the grammar accepts; anything else
+    goes to ``_Parser``, the one source of syntax errors.
+    """
+    return _read_terms(text) or _Parser(text).parse()
 
 
 def render_polynomial(poly: Poly) -> str:

@@ -38,7 +38,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_exact(c) if isinstance(c, (int, float)) else c for c in coeffs]
+        cs = [c if type(c) is Fraction else _exact(c) if isinstance(c, (int, float)) else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -54,7 +54,7 @@ class Poly:
         for c, e in terms:
             if e < 0:
                 raise ValueError("exponent must be nonnegative")
-            coeffs[e] = coeffs.get(e, 0) + c
+            coeffs[e] = coeffs[e] + c if e in coeffs else c
         if not coeffs:
             return cls.zero()
         out = [Fraction(0)] * (max(coeffs) + 1)

@@ -1,15 +1,21 @@
+import re
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superelliptic import equations
 from superelliptic.equations import (
     MAX_DEGREE,
     EquationSyntaxError,
     InputTooLargeError,
+    _digit_limit,
+    _Parser,
+    _read_terms,
     parse_equation,
     render_equation,
     render_polynomial,
@@ -97,15 +103,40 @@ def test_numerals_are_ascii_digits(template):
         assert str(excinfo.value) == f"unexpected character {digit!r} (at position {position})"
 
 
+RUN = " " * 8000
+SPACED_TOKENS = list("y^2=-3/4*x^6+2x^2-x+1")
+
+
 def test_trailing_whitespace_tokenizes_in_linear_time():
-    # a quadratic lexer takes seconds here; the best of three runs screens out host noise
-    text = "y^2 = x^6 + 1" + " " * 8000
-    timings = []
-    for _ in range(3):
-        start = time.perf_counter()
-        assert parse_equation(text)[0] == 2
-        timings.append(time.perf_counter() - start)
-    assert min(timings) < 0.01
+    # a quadratic lexer or a backtracking regex takes seconds on each of these;
+    # the best of three runs screens out host noise
+    cases = [
+        ("y^2 = x^6 + 1" + RUN, None),
+        (RUN.join(SPACED_TOKENS), None),
+        (RUN.join(SPACED_TOKENS) + RUN, None),
+        ("y^2 = x^6 + 1" + RUN + "~", "unexpected character '~'"),
+        ("y^2 = 3*" + RUN + "y", "only x may appear"),
+        ("y^2 = x^6 +" + RUN + "1" + RUN + "2", "expected '+' or '-'"),
+    ]
+    for text, error in cases:
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            if error is None:
+                assert parse_equation(text)[0] == 2
+            else:
+                with pytest.raises(EquationSyntaxError, match=re.escape(error)):
+                    parse_equation(text)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.01, (text[:40], timings)
+
+
+def test_a_term_for_every_exponent_parses_in_linear_time():
+    # slicing the text per term, or a quadratic term loop, takes seconds on 10,001 terms
+    text = "y^2 = " + " + ".join(f"0*x^{e}" for e in range(MAX_DEGREE, -1, -1))
+    start = time.perf_counter()
+    assert parse_equation(text) == (2, Poly.zero())
+    assert time.perf_counter() - start < 1
 
 
 FUZZ_ALPHABET = "xy0123456789^=+-*/ ~\t\u00b2\u0663"
@@ -121,6 +152,65 @@ def test_any_text_parses_or_raises_a_positioned_syntax_error(prefix, tail):
         assert 0 <= exc.position <= len(text)
     else:
         assert type(n) is int and isinstance(f, Poly)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the term path reads whitespace with \s and the tokenizer with str.isspace; they must agree everywhere
+    space = re.compile(r"\s")
+    differ = [c for c in map(chr, range(sys.maxunicode + 1)) if bool(space.fullmatch(c)) != c.isspace()]
+    assert differ == []
+
+
+def outcome(read, text):
+    """What ``read(text)`` gives: ("ok", n, coefficients) or (type, message, position)."""
+    try:
+        n, f = read(text)
+    except EquationSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+    return "ok", n, [(type(c), c) for c in f.coeffs]
+
+
+SPACES = st.sampled_from(["", "", " ", "\t", "\xa0", "\x1c", "\u2003"])
+#: "12345" is past the digit limit of 4 that the differential test sets half the time
+NUMERALS = st.sampled_from(["0", "1", "2", "3", "12", "007", "12345"])
+EXPONENTS = st.sampled_from(["0", "1", "2", "007", "000", "10000", "010000", "10001", "010001"])
+
+
+@st.composite
+def near_grammar_texts(draw):
+    """``y^N =`` and signed terms with each part optional, whitespace after every piece, and stray pieces."""
+    pieces = ["y", "^", draw(NUMERALS), "="]
+    for i in range(draw(st.integers(1, 4))):
+        pieces.append(draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-", "+", "-", ""])))
+        numeral, power = draw(st.sampled_from([(True, False), (False, True), (True, True), (True, True), (False, False)]))
+        if numeral:
+            pieces.append(draw(NUMERALS))
+            if draw(st.booleans()):
+                pieces += ["/", draw(NUMERALS)]
+        if power:
+            pieces += draw(st.sampled_from([["*", "x"], ["x"], ["*"]]))
+            if draw(st.booleans()):
+                pieces += ["^", draw(EXPONENTS)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from([*FUZZ_ALPHABET, "/0", "y"])))
+    return draw(SPACES) + "".join(piece + draw(SPACES) for piece in pieces)
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(
+        near_grammar_texts(),
+        st.lists(st.one_of(st.sampled_from([*FUZZ_ALPHABET, "/0"]), SPACES, NUMERALS), max_size=16).map("".join),
+    ),
+    st.sampled_from([None, 4]),
+)
+def test_term_path_agrees_with_the_parser(text, digit_limit):
+    """parse_equation answers as _Parser does, and its term path alone reads every text _Parser accepts."""
+    with mock.patch.object(equations, "_digit_limit", lambda: digit_limit or _digit_limit()):
+        expected = outcome(lambda t: _Parser(t).parse(), text)
+        assert outcome(parse_equation, text) == expected
+        if expected[0] == "ok":
+            assert outcome(_read_terms, text) == expected
 
 
 def test_exponent_cap_is_inclusive():

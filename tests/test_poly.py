@@ -65,6 +65,9 @@ def test_construction_refuses_floats_and_keeps_exact_coefficients():
     p = Poly([half, root, 3])
     assert p.coeffs == (half, root, Fraction(3))
     assert p.coeffs[0] is half and p.coeffs[1] is root and type(p.coeffs[2]) is Fraction
+    # from_terms keeps an exponent's only coefficient as it is and adds repeats
+    q = Poly.from_terms([(half, 2), (root, 1), (3, 0), (half, 0)])
+    assert q.coeffs[2] is half and q.coeffs[1] is root and q.coeffs[0] == Fraction(7, 2)
 
 
 def to_sympy(p):
