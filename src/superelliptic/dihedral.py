@@ -130,8 +130,8 @@ class DihedralInvariants:
             dec = squarefree_decompose(disc)
             radicand, square_part = dec.squarefree_part, dec.square_part
             note = (
-                "the field of moduli is not a field of definition; "
-                f"a model exists over the quadratic extension F(sqrt({radicand}))"
+                f"the rebuilt normal form needs the quadratic extension F(sqrt({radicand})); "
+                "whether a model exists over F is not decided here"
             )
         return FieldReport(
             discriminant=disc,

@@ -10,10 +10,11 @@ of more than 4300 digits (or of more than the interpreter's integer
 conversion limit, when that is lower), is refused with
 :class:`InputTooLargeError` before any polynomial is built.
 
-Two compiled regexes read the text: one the head ``y^N =``, one a term at a
-time.  Text they do not take whole, or that fails a check, goes to a token
-parser, the only source of syntax errors, which reads it again and raises
-with the position of the problem.  Examples:
+One reader: a regex for the head ``y^N =``, then a regex for each term.
+Every piece of both is optional, so where a match leaves the grammar shows
+what went wrong, and the reader raises there with the position of the
+problem.  A character outside the grammar anywhere in the text is reported
+first.  Examples:
 
     >>> render_equation(*parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1"))
     'y^2 = 1*x^6 + 2*x^4 + 3*x^2 + 1'
@@ -65,183 +66,102 @@ class InputTooLargeError(EquationSyntaxError):
     """An exponent of x above MAX_DEGREE or an over-long numeral; ``position`` is where it starts."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in "xy^=+-*/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise EquationSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 def _digit_limit() -> int:
     """The most digits a numeral may have, in equation text and in every CLI input."""
     return min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
 
 
-def _numeral(token) -> int:
-    limit = _digit_limit()
-    if len(token[1]) > limit:
-        raise InputTooLargeError(f"a numeral has more than {limit} digits", token[2])
-    return int(token[1])
+#: ``y^N =`` and one term ``[sign] [p[/q]] [*] [x|y[^e]]``.  Every piece is
+#: optional, so a match never fails, and the first missing group is where the
+#: text leaves the grammar.  Each piece takes the whitespace after it, and the
+#: groups of ``y``, ``^``, ``=``, ``/`` and ``*`` include it, so the next token
+#: starts where such a group, or the whole match, ends.  ``\s`` is exactly
+#: ``str.isspace`` and numerals are ``[0-9]``; the exponent group drops leading
+#: zeros.  No piece can start where the one before it goes on, so a match backs
+#: up at most over one zero and is linear in the text it reads.
+_HEAD = re.compile(r"\s*(?:(y\s*)(?:(\^\s*)(?:([0-9]+)\s*(=\s*)?)?)?)?")
+_TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:(/\s*)([0-9]+)?\s*)?(\*\s*)?)?(?:([xy])\s*(?:(\^\s*)(?:0*([0-9]+))?\s*)?)?")
+#: A character outside the grammar; the regexes above never take one.
+_STRAY = re.compile(r"[^\s0-9xy^=+*/-]")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def _accept(self, *kinds):
-        """Consume and return the next token if its kind is one of ``kinds``, else None."""
-        token = self.tokens[self.index]
-        if token[0] not in kinds:
-            return None
-        self.index += 1
-        return token
-
-    def _fail(self, message: str):
-        raise EquationSyntaxError(message, self.tokens[self.index][2])
-
-    def _expect(self, what: str, *kinds):
-        return self._accept(*kinds) or self._fail(f"expected {what}")
-
-    def parse(self):
-        if not self._accept("y"):
-            self._fail("the equation must start with y^N")
-        self._expect("'^' after y", "^")
-        token = self._expect("the exponent N", "int")
-        n = _numeral(token)
-        if n < 2:
-            raise EquationSyntaxError(f"the exponent must be at least 2, got {n}", token[2])
-        self._expect("'='", "=")
-        terms = []
-        while True:
-            if self._accept("-"):
-                sign = -1
-            elif self._accept("+") or not terms:
-                sign = 1
-            elif self._accept("end"):
-                return n, Poly.from_terms(terms)
-            else:
-                self._fail(f"expected '+' or '-', got {self.tokens[self.index][1]!r}")
-            terms.append(self._term(sign))
-
-    def _term(self, sign: int):
-        numeral = self._accept("int")
-        if not numeral:
-            return Fraction(sign), self._power(self._expect("a term", "x", "y"))
-        coeff = Fraction(sign * _numeral(numeral))
-        if self._accept("/"):
-            token = self._expect("a denominator", "int")
-            denominator = _numeral(token)
-            if denominator == 0:
-                raise EquationSyntaxError("zero denominator", token[2])
-            coeff /= denominator
-        if self._accept("*"):
-            return coeff, self._power(self._expect("x", "x", "y"))
-        name = self._accept("x", "y")
-        return coeff, (self._power(name) if name else 0)
-
-    def _power(self, name) -> int:
-        """The exponent after ``name``, the x or y token just read; y is refused here."""
-        if name[0] == "y":
-            raise EquationSyntaxError("only x may appear on the right side", name[2])
-        if not self._accept("^"):
-            return 1
-        token = self._expect("an exponent", "int")
-        digits = token[1].lstrip("0") or "0"
-        # compared as text first: int() refuses numerals of over 4300 digits
-        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-            raise InputTooLargeError(f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", token[2])
-        return int(digits)
+def _fail(text: str, message: str, position: int, error=EquationSyntaxError):
+    """Raise ``error``, unless ``text`` holds a stray character: the first of those wins anywhere."""
+    stray = _STRAY.search(text)
+    if stray:
+        raise EquationSyntaxError(f"unexpected character {stray[0]!r}", stray.start())
+    raise error(message, position)
 
 
-#: ``y^N =`` and one term ``[sign] [p[/q]] [*] [x[^e]]``, each with the
-#: whitespace after it; the exponent group drops leading zeros.  ``\s`` is
-#: exactly ``str.isspace`` and numerals are ``[0-9]``, as in ``_tokenize``.
-#: All of a term after its sign is optional, so a match never fails; it backs
-#: up at most over one whitespace run (the lookahead after ``*``) or one zero,
-#: so it is linear in the text it reads.
-_HEAD = re.compile(r"\s*y\s*\^\s*([0-9]+)\s*=\s*")
-_TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:/\s*([0-9]+)\s*)?(?:\*\s*(?=x))?)?(x\s*(?:\^\s*0*([0-9]+)\s*)?)?")
-
-
-def _read_terms(text: str):
-    """(n, Poly) if the regexes take ``text`` whole and every check passes, else None.
-
-    The checks of ``_Parser``, each before the int() or the polynomial it
-    guards, but a failed one returns None instead of raising: the parser
-    then reads the text again and raises the error with its position.
-    """
-    head = _HEAD.match(text)
-    if head is None:
-        return None
-    limit = _digit_limit()
-    if len(head[1]) > limit:
-        return None
-    n = int(head[1])
-    if n < 2:
-        return None
-    terms = []
-    cap = len(str(MAX_DEGREE))
-    pos, end = head.end(), len(text)
-    while True:
-        term = _TERM.match(text, pos)
-        sign, numeral, denominator, power, exponent = term.groups()
-        if terms and not sign:
-            return None
-        if numeral is not None:
-            if len(numeral) > limit:
-                return None
-            if denominator is None:
-                coeff = Fraction(int(sign + numeral))
-            else:
-                if len(denominator) > limit or not int(denominator):
-                    return None
-                coeff = Fraction(int(sign + numeral), int(denominator))
-        elif power is not None:
-            coeff = Fraction(-1 if sign == "-" else 1)
-        else:
-            return None
-        if power is None:
-            e = 0
-        elif exponent is None:
-            e = 1
-        else:
-            # compared as text first: int() refuses numerals of over 4300 digits
-            if len(exponent) > cap:
-                return None
-            e = int(exponent)
-            if e > MAX_DEGREE:
-                return None
-        terms.append((coeff, e))
-        pos = term.end()
-        if pos == end:
-            return n, Poly.from_terms(terms)
+def _fail_long(text: str, match, group: int, limit: int):
+    """Refuse the numeral in ``group`` of ``match``, which has more than ``limit`` digits."""
+    _fail(text, f"a numeral has more than {limit} digits", match.start(group), InputTooLargeError)
 
 
 def parse_equation(text: str):
     """Parse ``y^N = POLY`` into (n, Poly); repeated exponents are summed.
 
-    The regex term path reads every text the grammar accepts; anything else
-    goes to ``_Parser``, the one source of syntax errors.
+    The head regex, then the term regex once per term.  The checks run on
+    the groups of each match in the order of the grammar, each before the
+    int() or the polynomial it guards, and raise where the problem starts.
     """
-    return _read_terms(text) or _Parser(text).parse()
+    limit = _digit_limit()
+    head = _HEAD.match(text)
+    if head[3] is None:
+        message = ("expected the exponent N" if head[2] else "expected '^' after y" if head[1]
+                   else "the equation must start with y^N")
+        _fail(text, message, head.end())
+    if len(head[3]) > limit:
+        _fail_long(text, head, 3, limit)
+    n = int(head[3])
+    if n < 2:
+        _fail(text, f"the exponent must be at least 2, got {n}", head.start(3))
+    if head[4] is None:
+        _fail(text, "expected '='", head.end())
+    terms = []
+    cap = len(str(MAX_DEGREE))
+    pos, end = head.end(), len(text)
+    while True:
+        term = _TERM.match(text, pos)
+        sign, numeral, slash, denominator, star, name, caret, exponent = term.groups()
+        if terms and not sign:
+            _fail(text, f"expected '+' or '-', got {numeral or text[pos]!r}", pos)
+        if numeral is not None:
+            if len(numeral) > limit:
+                _fail_long(text, term, 2, limit)
+            if slash is None:
+                coeff = Fraction(int(sign + numeral))
+            else:
+                if denominator is None:
+                    _fail(text, "expected a denominator", term.end(3))
+                if len(denominator) > limit:
+                    _fail_long(text, term, 4, limit)
+                if not int(denominator):
+                    _fail(text, "zero denominator", term.start(4))
+                coeff = Fraction(int(sign + numeral), int(denominator))
+        elif name is None:
+            _fail(text, "expected a term", term.end())
+        else:
+            coeff = Fraction(-1 if sign == "-" else 1)
+        if name is None:
+            if star is not None:
+                _fail(text, "expected x", term.end(5))
+            e = 0
+        elif name == "y":
+            _fail(text, "only x may appear on the right side", term.start(6))
+        elif exponent is not None:
+            # compared as text first: int() refuses numerals of over 4300 digits
+            e = int(exponent) if len(exponent) <= cap else MAX_DEGREE + 1
+            if e > MAX_DEGREE:
+                _fail(text, f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", term.end(7), InputTooLargeError)
+        elif caret is None:
+            e = 1
+        else:
+            _fail(text, "expected an exponent", term.end(7))
+        terms.append((coeff, e))
+        pos = term.end()
+        if pos == end:
+            return n, Poly.from_terms(terms)
 
 
 def render_polynomial(poly: Poly) -> str:

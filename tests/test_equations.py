@@ -14,14 +14,14 @@ from superelliptic.equations import (
     EquationSyntaxError,
     InputTooLargeError,
     _digit_limit,
-    _Parser,
-    _read_terms,
     parse_equation,
     render_equation,
     render_polynomial,
 )
 from superelliptic.exact import QuadExt
 from superelliptic.poly import Poly
+
+from equation_oracle import _Parser
 
 
 def test_parse_reference_equation():
@@ -76,6 +76,13 @@ def test_parse_sums_repeated_exponents():
         pytest.param("y^" + "9" * 5000 + " = x^6 + 1", "more than 4300 digits", 2, id="n-of-5000-digits"),
         pytest.param("y^2 = x^6 + x^\u00b2", "unexpected character", 14, id="superscript-exponent"),
         pytest.param("y^2 = x^6 + \u0663x^2 + 1", "unexpected character", 12, id="arabic-indic-coefficient"),
+        # a stray character anywhere wins over an error earlier in the text
+        pytest.param("y^1 = x ~", "unexpected character '~'", 8, id="stray-after-small-n"),
+        pytest.param("y^" + "9" * 5000 + " = x ~", "unexpected character '~'", 5007, id="stray-after-long-n"),
+        ("y^2 = 3/ x", "expected a denominator", 9),
+        ("y^2 = 3y", "only x may appear", 7),
+        ("y^2 = 12 34", "expected '+' or '-', got '34'", 9),
+        ("y^2 = x^ y", "expected an exponent", 9),
     ],
 )
 def test_parse_errors_carry_positions(text, fragment, position):
@@ -155,7 +162,7 @@ def test_any_text_parses_or_raises_a_positioned_syntax_error(prefix, tail):
 
 
 def test_regex_whitespace_is_str_isspace():
-    # the term path reads whitespace with \s and the tokenizer with str.isspace; they must agree everywhere
+    # the grammar's whitespace is str.isspace and the regexes read it as \s; they must agree everywhere
     space = re.compile(r"\s")
     differ = [c for c in map(chr, range(sys.maxunicode + 1)) if bool(space.fullmatch(c)) != c.isspace()]
     assert differ == []
@@ -205,12 +212,9 @@ def near_grammar_texts(draw):
     st.sampled_from([None, 4]),
 )
 def test_term_path_agrees_with_the_parser(text, digit_limit):
-    """parse_equation answers as _Parser does, and its term path alone reads every text _Parser accepts."""
+    """parse_equation answers as the token parser of tests/equation_oracle.py does."""
     with mock.patch.object(equations, "_digit_limit", lambda: digit_limit or _digit_limit()):
-        expected = outcome(lambda t: _Parser(t).parse(), text)
-        assert outcome(parse_equation, text) == expected
-        if expected[0] == "ok":
-            assert outcome(_read_terms, text) == expected
+        assert outcome(parse_equation, text) == outcome(lambda t: _Parser(t).parse(), text)
 
 
 def test_exponent_cap_is_inclusive():
