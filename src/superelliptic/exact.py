@@ -33,13 +33,6 @@ DEFAULT_FACTOR_BOUND = 10**6
 #: Longest cofactor (in bits) that the Miller-Rabin pass is asked to test.
 MAX_COFACTOR_BITS = 2048
 
-#: Width of the prime windows whose products the trial-division pass uses.
-_WINDOW = 4096
-
-#: Windows per block: from window _BLOCK on, one gcd against a block's
-#: product screens all of its windows at once.
-_BLOCK = 16
-
 #: Smallest strong pseudoprime to all 13 prime bases up to 41, the product
 #: 1287836182261 * 2575672364521 (Sorenson & Webster, "Strong pseudoprimes
 #: to twelve prime bases", Math. Comp. 86, 2017).
@@ -116,15 +109,30 @@ def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("root order must be >= 1")
     if k == 1 or n in (0, 1):
         return n, True
-    if k == 2:
-        root = math.isqrt(n)
-    else:
-        # Newton's iteration from 2**ceil(bits/k), above the root: it falls
-        # strictly until it reaches the floor of the root, then stops falling.
-        root = 1 << -(-n.bit_length() // k)
-        while (lower := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
-            root = lower
+    root = math.isqrt(n) if k == 2 else _floor_root(n, k)
     return root, root**k == n
+
+
+def _floor_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, for k >= 3."""
+    length = (n.bit_length() - 1) // k + 1  # the root lies in [2**(length - 1), 2**length)
+    # the top bits of the root, one power each, from the top bits of n
+    top = min(length, k.bit_length() + 2)
+    t = length - top
+    m = n >> k * t
+    root = 1 << (top - 1)
+    for bit in reversed(range(top - 1)):
+        if (root | 1 << bit) ** k <= m:
+            root |= 1 << bit
+    if t == 0:
+        return root
+    # Newton's iteration from (root + 1) << t, above the root by a factor below
+    # 1 + 1/(2k): it falls strictly, and at once quadratically, until it reaches
+    # the floor of the root, then stops falling.
+    root = (root + 1) << t
+    while (lower := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+        root = lower
+    return root
 
 
 def rational_nth_root(x, k: int) -> Fraction | None:
@@ -186,80 +194,53 @@ def _odd_sieve(hi: int) -> bytearray:
     return flags
 
 
-#: Window products built so far, extended on demand.  Window k is the primes
-#: in [k*_WINDOW, (k+1)*_WINDOW), clipped at DEFAULT_FACTOR_BOUND.
-#: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
-_kept_products: tuple[int, ...] = ()
-_DEFAULT_WINDOWS = DEFAULT_FACTOR_BOUND // _WINDOW + 1
-
-
-def _kept_product(k: int) -> int:
-    """Window k's product; a missing window doubles the kept prefix."""
-    global _kept_products
-    kept = _kept_products
-    if k >= len(kept):
-        last = min(max(k + 1, 2 * len(kept)), _DEFAULT_WINDOWS)
-        flags = memoryview(_odd_sieve(min(last * _WINDOW, DEFAULT_FACTOR_BOUND + 1)))
-        kept += tuple(
-            math.prod(
-                compress(range(j * _WINDOW + 1, (j + 1) * _WINDOW, 2), flags[j * _WINDOW // 2 :]),
-                start=2 if j == 0 else 1,  # window 0 also holds the even prime
-            )
-            for j in range(len(kept), last)
-        )
-        _kept_products = kept
-    return kept[k]
-
-
-#: Block products, built whole from the kept window products on first use.
-#: Block i covers windows [_BLOCK*(i+1), _BLOCK*(i+2)); the last block also
-#: takes the short tail up to window _DEFAULT_WINDOWS - 1.
-_kept_blocks: tuple[int, ...] = ()
-_BLOCK_EDGES = (*range(_BLOCK, _DEFAULT_WINDOWS - _BLOCK + 1, _BLOCK), _DEFAULT_WINDOWS)
-#: First window of a block -> (block index, window after its last).
-_SCREENS = {start: (i, end) for i, (start, end) in enumerate(zip(_BLOCK_EDGES, _BLOCK_EDGES[1:]))}
-
-
 def _tree_product(values: list[int]) -> int:
-    """The product of ``values`` by a balanced tree: operands of similar length meet."""
+    """The product of ``values``: runs of 32, then a balanced tree, so operands of similar length meet."""
+    width = 32
     while len(values) > 1:
-        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+        values = [math.prod(values[i : i + width]) for i in range(0, len(values), width)]
+        width = 2
     return values[0]
 
 
-def _kept_block(i: int) -> int:
-    """Block i's product; the first call builds every block."""
-    global _kept_blocks
-    if not _kept_blocks:
-        _kept_product(_DEFAULT_WINDOWS - 1)  # one sieve for the whole window table
-        _kept_blocks = tuple(_tree_product(list(_kept_products[start:end])) for start, (_, end) in _SCREENS.items())
-    return _kept_blocks[i]
+#: Segment k holds the primes in [_EDGES[k], _EDGES[k + 1]); see squarefree_decompose.
+_EDGES = (0, 4096, 8192, 16384, 32768, *range(65536, DEFAULT_FACTOR_BOUND - 65536, 65536), DEFAULT_FACTOR_BOUND + 1)
+
+#: Segment products built so far: none, segment 0 alone, or all of them.
+#: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
+_kept_segments: tuple[int, ...] = ()
 
 
-def _reach(end: int) -> int:
-    """Every prime below this is divided out once the windows before ``end`` are walked."""
-    return min(end * _WINDOW, DEFAULT_FACTOR_BOUND + 1)
+def _segment_product(k: int) -> int:
+    """Segment k's product; segment 0 is built alone, any other segment builds them all."""
+    global _kept_segments
+    kept = _kept_segments
+    if k >= len(kept):
+        edges = _EDGES if k else _EDGES[:2]
+        flags = memoryview(_odd_sieve(edges[-1]))
+        kept = _kept_segments = tuple(
+            (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags[lo // 2 :])))
+            for lo, hi in zip(edges, edges[1:])
+        )
+    return kept[k]
 
 
 def squarefree_decompose(x) -> SquarefreeDecomposition:
     """Write nonzero rational x as d * r**2 with d a squarefree integer, r > 0.
 
     Every prime up to ``DEFAULT_FACTOR_BOUND`` is stripped by batch trial
-    division: the range is cut into windows of 4096 consecutive integers,
-    and one gcd of what is left against the product of a window's primes
-    finds all of them that divide it; a chain of gcds then reads off their
-    exponents.  The walk stops early once the next window starts above the
-    square root of what is left.  It also stops after window 0, or after a
-    window that divided something out, when what is left lies below
-    ``_PSI13`` (~81 bits) and passes the 13-base Miller-Rabin test, which
-    there proves it prime.  From window 16 on, a block of 16 windows (the
-    last one takes the 5-window tail) that lies wholly below the square
-    root of what is left gets one gcd against the product of its windows;
-    when that gcd is 1 the walk skips the block.  The window products
-    (~180 KB) are built on first use, a doubling prefix at a time, and the
-    14 block products (~168 KB) are built all at once from them by a
-    balanced product tree when a block is first screened; both are kept,
-    and nothing is built at import.
+    division over 19 segments: the primes below 4096, then ranges doubling
+    in width up to 65536, then ranges 65536 wide, the last one taking the
+    tail up to the bound.  One gcd of what is left against the product of a
+    segment's primes finds all of them that divide it, and a chain of gcds
+    then reads off their exponents.  The walk stops early once the next
+    segment starts above the square root of what is left.  It also stops
+    after segment 0, or after a segment that divided something out, when
+    what is left lies below ``_PSI13`` (~81 bits) and passes the 13-base
+    Miller-Rabin test, which there proves it prime.  The segment products
+    are built on first use from one sieve and kept: segment 0 alone for the
+    first radicand, and all of them (~180 KB) once a radicand reaches past
+    segment 0; nothing is built at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base
@@ -277,19 +258,10 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     sign = -1 if x < 0 else 1
     squarefree = 1
     root = 1
-    k = 0
-    while k < _DEFAULT_WINDOWS:
-        if k in _SCREENS:
-            i, end = _SCREENS[k]
-            edge = _reach(end)
-            # the walk visits every window of a block below sqrt(n), and none divides n when the gcd is 1
-            if edge * edge <= n and math.gcd(n, _kept_block(i)) == 1:
-                k, reach = end, edge
-                continue
-        reach = _reach(k + 1)  # every prime below reach is divided out
-        # g holds the primes of the window with exponent >= j in n, for j = 1, 2, ...
-        g = math.gcd(n, _kept_product(k))
-        divided = k == 0 or g > 1  # window 0 counts as dividing: the first chance to stop
+    for k, reach in enumerate(_EDGES[1:]):  # every prime below reach is divided out after segment k
+        # g holds the primes of the segment with exponent >= j in n, for j = 1, 2, ...
+        g = math.gcd(n, _segment_product(k))
+        divided = k == 0 or g > 1  # segment 0 counts as dividing: the first chance to stop
         odd = True
         while g > 1:
             n //= g
@@ -307,7 +279,6 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
             squarefree *= n
             n = 1
             break
-        k += 1
     if n > 1:
         if reach * reach > n:
             squarefree *= n  # no prime factor below reach and below reach**2: prime

@@ -37,6 +37,8 @@ CASES = {
     "genus": (["genus", "--n", "3", "--d", "7"], None),
     "genus_text": (["genus", "--n", "2", "--d", "5", "--no-json"], None),
     "field": (["field", "--invariants", "1,1"], None),
+    # a 45-bit cofactor with no factor <= 10^6: the walk reads every trial-division segment, then refuses
+    "field_factor_bound": (["field", "--invariants", "799309,804424"], None),
     "field_stdin_flag_wins": (["field", "-", "--delta", "3"], {"invariants": ["9", "4"], "n": 3, "delta": 2}),
     "field_n_zero": (["field", "--invariants", "1,1", "--n", "0"], None),
     "field_delta_zero": (["field", "--invariants", "1,1", "--delta", "0"], None),

@@ -76,6 +76,10 @@ def test_integer_nth_root_examples():
     assert integer_nth_root(3137, 2) == (56, False)
     assert integer_nth_root(3**40, 40) == (3, True)
     assert integer_nth_root(3**40 - 1, 40) == (2, False)
+    # a short root of a high order, where the start from the top bits matters most
+    assert integer_nth_root(2**100 - 1, 32) == (8, False)
+    assert integer_nth_root(9**32, 32) == (9, True)
+    assert integer_nth_root(2**64 - 1, 64) == (1, False)
     with pytest.raises(ValueError):
         integer_nth_root(-1, 2)
     with pytest.raises(ValueError):
@@ -188,14 +192,17 @@ def expected_decomposition(x, factors, bound):
     return SquarefreeDecomposition((1 if x > 0 else -1) * squarefree, Fraction(root, x.denominator))
 
 
-#: Primes at the edges of the first two prime windows, inside the second, at the edges of the
-#: first two blocks of 16 windows (65536 and 131072) and at the default bound.
-EDGE_PRIMES = (4093, 4099, 4111, 4999, 5003, 8191, 65521, 65537, 131071, 131101, 999983, 1000003)
+#: Edges of the trial-division segments: the primes below 4096, then ranges doubling in width
+#: up to 65536, then ranges 65536 wide, the last one taking the tail up to the default bound.
+SEGMENT_EDGES = (0, 4096, 8192, 16384, 32768, *range(65536, 983040, 65536), DEFAULT_FACTOR_BOUND + 1)
+
+#: The primes on both sides of every segment edge, 4093/4099 up to 999983/1000003.
+EDGE_PRIMES = tuple(q for edge in SEGMENT_EDGES[1:] for q in (sympy.prevprime(edge), sympy.nextprime(edge - 1)))
 
 #: Smallest strong pseudoprime to the 13 prime bases up to 41 (Sorenson & Webster 2017).
 PSI13 = 1287836182261 * 2575672364521
 
-#: A 40-bit prime, the largest prime below PSI13, and two primes inside the blocks.
+#: A 40-bit prime, the largest prime below PSI13, and two primes inside the segments.
 LARGE_PLANTS = (sympy.prevprime(2**40), sympy.prevprime(PSI13), 524287, 999331)
 
 # a large plant is at most squared, so what lies above the bound stays under MAX_COFACTOR_BITS
@@ -236,94 +243,70 @@ def env_with_src():
 
 
 def test_small_radicand_builds_only_the_first_prime_window():
-    # a fresh interpreter, so the lazily built window products start empty
+    # a fresh interpreter: the import builds no segment product, and a radicand below 4096**2 builds segment 0 only
     code = (
         "import tracemalloc\n"
-        "from superelliptic.exact import squarefree_decompose\n"
+        "from superelliptic import exact\n"
+        "print(len(exact._kept_segments))\n"
         "tracemalloc.start()\n"
-        "squarefree_decompose(4 * (10**6 + 3))\n"
-        "print(tracemalloc.get_traced_memory()[1])\n"
+        "exact.squarefree_decompose(4 * (10**6 + 3))\n"
+        "print(tracemalloc.get_traced_memory()[1], len(exact._kept_segments))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 64_000
+    before, peak, after = map(int, done.stdout.split())
+    assert (before, after) == (0, 1)
+    assert peak < 64_000
 
 
-@pytest.mark.parametrize("touched_first", [0, 244], ids=["ascending", "last_window_first"])
-def test_kept_window_products_match_sympy_primes(touched_first):
+@pytest.mark.parametrize("touched_first", [0, 18], ids=["ascending", "last_segment_first"])
+def test_segment_products_match_sympy_primes(touched_first):
     # a fresh interpreter, so the table is built from empty in the given access order
     code = (
         "from superelliptic import exact\n"
-        f"exact._kept_product({touched_first})\n"
-        "print(*(hex(exact._kept_product(k)) for k in range(exact._DEFAULT_WINDOWS)))\n"
+        f"exact._segment_product({touched_first})\n"
+        "print(*(hex(exact._segment_product(k)) for k in range(len(exact._EDGES) - 1)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=60)
     assert done.returncode == 0, done.stderr
     products = [int(word, 16) for word in done.stdout.split()]
-    window = 4096
-    expected = [
-        math.prod(sympy.primerange(k * window, min((k + 1) * window, DEFAULT_FACTOR_BOUND + 1)))
-        for k in range(DEFAULT_FACTOR_BOUND // window + 1)
-    ]
-    assert len(products) == len(expected) == 245
+    expected = [math.prod(sympy.primerange(lo, hi)) for lo, hi in zip(SEGMENT_EDGES, SEGMENT_EDGES[1:])]
+    assert len(products) == len(expected) == 19
     assert [k for k, (got, want) in enumerate(zip(products, expected)) if got != want] == []
 
 
-@pytest.mark.parametrize("touched_first", [0, 13], ids=["ascending", "last_block_first"])
-def test_kept_block_products_match_sympy_primes(touched_first):
-    # a fresh interpreter, so the block table is built from empty, after the given first touch
-    code = (
-        "from superelliptic import exact\n"
-        f"exact._kept_block({touched_first})\n"
-        "print(*(hex(exact._kept_block(i)) for i in range(14)))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=60)
-    assert done.returncode == 0, done.stderr
-    products = [int(word, 16) for word in done.stdout.split()]
-    window = 4096
-    # block i covers windows 16*(i+1) to 16*(i+2) - 1; the last also takes windows 240-244
-    edges = [16 * (i + 1) * window for i in range(14)] + [DEFAULT_FACTOR_BOUND + 1]
-    expected = [math.prod(sympy.primerange(lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    assert len(products) == len(expected) == 14
-    assert [i for i, (got, want) in enumerate(zip(products, expected)) if got != want] == []
-
-
 def reads(monkeypatch, x):
-    """(result or refusal, windows read, blocks read) of squarefree_decompose(x)."""
-    exact._kept_block(0)  # both tables built first, so only the walk's own reads are counted
-    windows, blocks = [], []
-
-    def counted(kept, log):
-        return lambda k: log.append(k) or kept(k)
-
-    monkeypatch.setattr(exact, "_kept_product", counted(exact._kept_product, windows))
-    monkeypatch.setattr(exact, "_kept_block", counted(exact._kept_block, blocks))
+    """(result or refusal, segments read) of squarefree_decompose(x)."""
+    exact._segment_product(1)  # the whole table built first, so only the walk's own reads are counted
+    segments = []
+    kept = exact._segment_product
+    monkeypatch.setattr(exact, "_segment_product", lambda k: segments.append(k) or kept(k))
     try:
         result = squarefree_decompose(x)
     except FactorBoundExceededError as exc:
         result = exc
     monkeypatch.undo()
-    return result, windows, blocks
+    return result, segments
 
 
-def test_walk_stops_at_a_proven_prime_and_screens_blocks(monkeypatch):
+def test_walk_stops_at_a_proven_prime_or_reads_every_segment(monkeypatch):
     for prime in (2**61 - 1, sympy.prevprime(PSI13)):
-        # window 0 divides out the 3, and what is left is proven prime below PSI13
-        assert reads(monkeypatch, 3 * prime) == (SquarefreeDecomposition(3 * prime, Fraction(1)), [0], [])
+        # segment 0 divides out the 3, and what is left is proven prime below PSI13
+        assert reads(monkeypatch, 3 * prime) == (SquarefreeDecomposition(3 * prime, Fraction(1)), [0])
     p = sympy.nextprime(10**40)
-    refused, windows, blocks = reads(monkeypatch, 3 * p * sympy.nextprime(p))
+    refused, segments = reads(monkeypatch, 3 * p * sympy.nextprime(p))
     assert isinstance(refused, FactorBoundExceededError)
-    assert (windows, blocks) == (list(range(16)), list(range(14)))
-    # below 4096**2 the walk ends after window 0, as it always did
-    assert reads(monkeypatch, 4 * (10**6 + 3)) == (SquarefreeDecomposition(10**6 + 3, Fraction(2)), [0], [])
+    assert segments == list(range(19))
+    # below 4096**2 the walk ends after segment 0
+    assert reads(monkeypatch, 4 * (10**6 + 3)) == (SquarefreeDecomposition(10**6 + 3, Fraction(2)), [0])
 
 
 def test_no_early_exit_at_psi13(monkeypatch):
     assert exact._PSI13 == PSI13
     assert exact._is_probable_prime(PSI13)  # composite, yet a strong pseudoprime to all 13 bases
-    result, windows, blocks = reads(monkeypatch, 3 * PSI13)
+    result, segments = reads(monkeypatch, 3 * PSI13)
     # the full walk ran; accepting PSI13 as a prime is right here only because it is squarefree
-    assert (windows, blocks) == (list(range(16)), list(range(14)))
+    assert segments == list(range(19))
     assert result == SquarefreeDecomposition(3 * PSI13, Fraction(1))
 
 

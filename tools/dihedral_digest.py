@@ -12,19 +12,32 @@ the ``repr`` of the workload's own operation and, for every coefficient or
 invariant tuple in it, of ``roundtrip_verify``, ``compute_invariants``,
 ``field_of_definition`` and both ``reconstruct`` roots (an exception is
 recorded as its type and message).  It prints one SHA-256 per workload and
-one over all of them; two versions give the same results, bit for bit,
-exactly when the digests are equal.
+one over all of them (``all:``); two versions give the same results, bit
+for bit, exactly when the digests are equal.  A last line (``results:``)
+hashes the same records with every note blanked, in ``FieldReport`` reprs
+and in the CLI documents' ``"note"`` key, so a reworded note changes
+``all:`` and leaves ``results:`` as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 BLOCKS = range(10)
+
+#: A note in a FieldReport repr (either quote), and in a CLI JSON document.
+REPR_NOTE = re.compile(r"""note=(?:'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")""")
+JSON_NOTE = re.compile(r'"note": "(?:\\.|[^"\\])*"')
+
+
+def _blanked(record: str) -> str:
+    """``record`` with the text of every note removed."""
+    return JSON_NOTE.sub('"note": ""', REPR_NOTE.sub("note=''", record))
 
 
 def _outcome(call, *args):
@@ -65,6 +78,7 @@ def main(argv=None) -> int:
     from perfbench.workloads import WORKLOADS
 
     total = hashlib.sha256()
+    results = hashlib.sha256()
     for name, workload in sorted(WORKLOADS.items()):
         digest = hashlib.sha256()
         count = 0
@@ -76,10 +90,12 @@ def main(argv=None) -> int:
                         records.extend(_tuple_records(api, values, n, delta))
                     for record in records:
                         digest.update(record.encode() + b"\n")
+                        results.update(_blanked(record).encode() + b"\n")
                     count += len(records)
         print(f"{name}: {count} records, sha256 {digest.hexdigest()}")
         total.update(digest.digest())
     print(f"all: sha256 {total.hexdigest()}")
+    print(f"results: sha256 {results.hexdigest()}")
     return 0
 
 
