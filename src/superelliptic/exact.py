@@ -109,30 +109,15 @@ def integer_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("root order must be >= 1")
     if k == 1 or n in (0, 1):
         return n, True
-    root = math.isqrt(n) if k == 2 else _floor_root(n, k)
+    if k == 2:
+        root = math.isqrt(n)
+    else:
+        # Newton's iteration from 2**ceil(bits/k), above the root: it falls
+        # strictly until it reaches the floor of the root, then stops falling.
+        root = 1 << -(-n.bit_length() // k)
+        while (lower := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
+            root = lower
     return root, root**k == n
-
-
-def _floor_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 1, for k >= 3."""
-    length = (n.bit_length() - 1) // k + 1  # the root lies in [2**(length - 1), 2**length)
-    # the top bits of the root, one power each, from the top bits of n
-    top = min(length, k.bit_length() + 2)
-    t = length - top
-    m = n >> k * t
-    root = 1 << (top - 1)
-    for bit in reversed(range(top - 1)):
-        if (root | 1 << bit) ** k <= m:
-            root |= 1 << bit
-    if t == 0:
-        return root
-    # Newton's iteration from (root + 1) << t, above the root by a factor below
-    # 1 + 1/(2k): it falls strictly, and at once quadratically, until it reaches
-    # the floor of the root, then stops falling.
-    root = (root + 1) << t
-    while (lower := ((k - 1) * root + n // root ** (k - 1)) // k) < root:
-        root = lower
-    return root
 
 
 def rational_nth_root(x, k: int) -> Fraction | None:
@@ -196,6 +181,8 @@ def _odd_sieve(hi: int) -> bytearray:
 
 def _tree_product(values: list[int]) -> int:
     """The product of ``values``: runs of 32, then a balanced tree, so operands of similar length meet."""
+    # math.prod over short runs of small values beats tree levels made of one-word products:
+    # the whole table builds ~15 ms faster, and runs of 16 to 128 time alike
     width = 32
     while len(values) > 1:
         values = [math.prod(values[i : i + width]) for i in range(0, len(values), width)]
@@ -206,19 +193,19 @@ def _tree_product(values: list[int]) -> int:
 #: Segment k holds the primes in [_EDGES[k], _EDGES[k + 1]); see squarefree_decompose.
 _EDGES = (0, 4096, 8192, 16384, 32768, *range(65536, DEFAULT_FACTOR_BOUND - 65536, 65536), DEFAULT_FACTOR_BOUND + 1)
 
-#: Segment products built so far: none, segment 0 alone, or all of them.
+#: Segment products built so far, extended on demand.
 #: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
 _kept_segments: tuple[int, ...] = ()
 
 
 def _segment_product(k: int) -> int:
-    """Segment k's product; segment 0 is built alone, any other segment builds them all."""
+    """Segment k's product; a missing segment doubles the kept prefix."""
     global _kept_segments
     kept = _kept_segments
     if k >= len(kept):
-        edges = _EDGES if k else _EDGES[:2]
+        edges = _EDGES[len(kept) : min(max(k + 1, 2 * len(kept)), len(_EDGES) - 1) + 1]
         flags = memoryview(_odd_sieve(edges[-1]))
-        kept = _kept_segments = tuple(
+        kept = _kept_segments = kept + tuple(
             (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags[lo // 2 :])))
             for lo, hi in zip(edges, edges[1:])
         )
@@ -238,9 +225,9 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     after segment 0, or after a segment that divided something out, when
     what is left lies below ``_PSI13`` (~81 bits) and passes the 13-base
     Miller-Rabin test, which there proves it prime.  The segment products
-    are built on first use from one sieve and kept: segment 0 alone for the
-    first radicand, and all of them (~180 KB) once a radicand reaches past
-    segment 0; nothing is built at import.
+    (~180 KB in all) are built on first use and kept, nothing at import:
+    when a segment is missing the kept prefix doubles (1, 2, 4, 8, 16, then
+    all 19 segments), and each extension sieves once from 0 to its end.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base

@@ -76,7 +76,7 @@ def test_integer_nth_root_examples():
     assert integer_nth_root(3137, 2) == (56, False)
     assert integer_nth_root(3**40, 40) == (3, True)
     assert integer_nth_root(3**40 - 1, 40) == (2, False)
-    # a short root of a high order, where the start from the top bits matters most
+    # a short root of a high order, where the start 2**ceil(bits/k) lies furthest above the root
     assert integer_nth_root(2**100 - 1, 32) == (8, False)
     assert integer_nth_root(9**32, 32) == (9, True)
     assert integer_nth_root(2**64 - 1, 64) == (1, False)
@@ -243,7 +243,8 @@ def env_with_src():
 
 
 def test_small_radicand_builds_only_the_first_prime_window():
-    # a fresh interpreter: the import builds no segment product, and a radicand below 4096**2 builds segment 0 only
+    # a fresh interpreter: the import builds no segment product, and a radicand below 4096**2 builds segment 0 only;
+    # 3 * 4099 * 4111 has no prime below 4096 and stops after segment 1, which doubles the kept prefix to 2, not to 19
     code = (
         "import tracemalloc\n"
         "from superelliptic import exact\n"
@@ -251,11 +252,13 @@ def test_small_radicand_builds_only_the_first_prime_window():
         "tracemalloc.start()\n"
         "exact.squarefree_decompose(4 * (10**6 + 3))\n"
         "print(tracemalloc.get_traced_memory()[1], len(exact._kept_segments))\n"
+        "exact.squarefree_decompose(3 * 4099 * 4111)\n"
+        "print(len(exact._kept_segments))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
-    before, peak, after = map(int, done.stdout.split())
-    assert (before, after) == (0, 1)
+    before, peak, after, past_segment_0 = map(int, done.stdout.split())
+    assert (before, after, past_segment_0) == (0, 1, 2)
     assert peak < 64_000
 
 
@@ -277,7 +280,6 @@ def test_segment_products_match_sympy_primes(touched_first):
 
 def reads(monkeypatch, x):
     """(result or refusal, segments read) of squarefree_decompose(x)."""
-    exact._segment_product(1)  # the whole table built first, so only the walk's own reads are counted
     segments = []
     kept = exact._segment_product
     monkeypatch.setattr(exact, "_segment_product", lambda k: segments.append(k) or kept(k))
