@@ -15,8 +15,8 @@ then the default), hands them to the subcommand and echoes them as
 are ASCII ``0-9`` (no exponents or decimals).  On every route, a numeral of
 more than 4300 digits, or of more than the interpreter's integer conversion
 limit when that is lower, is refused by its length before it is converted.
-``reconstruct`` refuses a rebuilt degree ``delta*(s+1)`` above
-``MAX_DEGREE``, and ``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.
+``reconstruct`` and ``roundtrip --a`` refuse a rebuilt degree ``delta*(s+1)``
+above ``MAX_DEGREE``, and ``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.
 Every document, errors included, carries ``schema_version`` and ``command``.
 
 ``main(argv)`` may be called many times in one process: the argument parser
@@ -282,11 +282,16 @@ def _cmd_field(inputs: dict) -> dict:
     return _field_section(DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"]))
 
 
-def _cmd_reconstruct(inputs: dict) -> dict:
-    inv = DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"])
-    degree = inv.delta * (inv.s + 1)
+def _check_rebuilt_degree(delta: int, s: int) -> None:
+    """Refuse an s-tuple whose rebuilt equation, of degree delta*(s+1), is above MAX_DEGREE."""
+    degree = delta * (s + 1)
     if degree > MAX_DEGREE:
         raise ValueError(f"the rebuilt equation would have degree {degree}, above MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _cmd_reconstruct(inputs: dict) -> dict:
+    inv = DihedralInvariants(inputs["invariants"], inputs["n"], inputs["delta"])
+    _check_rebuilt_degree(inv.delta, inv.s)
     plus, minus = leading_coefficients(inv)
     rec = reconstruct(inv, inputs["root"])
     if rec.leading_coefficient == 0:
@@ -342,6 +347,7 @@ def _cmd_roundtrip(inputs: dict) -> dict:
     if inputs["a"] is None:
         raise ValueError("no tuple given; use --a or --random N")
     inputs["a"] = _parse_rational_list(inputs["a"])
+    _check_rebuilt_degree(inputs["delta"], len(inputs["a"]))
     report = roundtrip_verify(inputs["a"], inputs["n"], inputs["delta"])
     return {
         "status": report.status,

@@ -33,9 +33,11 @@ DEFAULT_FACTOR_BOUND = 10**6
 #: Longest cofactor (in bits) that the Miller-Rabin pass is asked to test.
 MAX_COFACTOR_BITS = 2048
 
-#: Smallest strong pseudoprime to all 13 prime bases up to 41, the product
-#: 1287836182261 * 2575672364521 (Sorenson & Webster, "Strong pseudoprimes
-#: to twelve prime bases", Math. Comp. 86, 2017).
+#: The 13 prime bases up to 41, by which ``_is_probable_prime`` trial-divides
+#: and to which it runs Miller-Rabin, and the smallest strong pseudoprime to
+#: all of them, the product 1287836182261 * 2575672364521 (Sorenson & Webster,
+#: "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
 
@@ -74,13 +76,13 @@ def _cleared(values) -> tuple[int, list[int]]:
 
 
 def _is_probable_prime(n: int) -> bool:
-    # Miller-Rabin with the 13 prime bases up to 41: a proof of primality for
+    # Miller-Rabin to the 13 ``_BASES``: a proof of primality for
     # n < _PSI13 = 3317044064679887385961981 (~81 bits), the least strong
     # pseudoprime to all 13 bases (Sorenson & Webster, Math. Comp. 86, 2017);
     # a probable-prime test from there on.
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -88,7 +90,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -7,7 +7,8 @@ equations.  The only requirements are exact +, -, * and an honest
 TypeError.  ``Poly`` holds coefficients and offers the ring operations;
 :func:`~superelliptic.equations.render_polynomial` writes it out.
 
-Discriminants are exact over Q by the integer subresultant PRS: rational
+Discriminants are exact over Q by the integer subresultant PRS of f and
+f', which computes res(f, f') only; there is no general resultant.  Rational
 content is pulled out, and the remainder sequence runs on primitive integer
 coefficients with exact divisions, so no Fraction arithmetic and no matrix.
 A discriminant of f = g(x**k) is computed from g.  ``delta_support`` is the
@@ -134,8 +135,8 @@ def _primitive(p: Poly) -> tuple[Fraction, list[int]]:
     return Fraction(num, den), [c // num for c in ints]
 
 
-def _subresultant(a: list[int], b: list[int]) -> int:
-    """res(a, b) for integer coefficient lists (low degree first), deg a >= deg b >= 1.
+def _subresultant(f: list[int]) -> int:
+    """res(f, f') for an integer coefficient list f (low degree first) of degree d >= 2.
 
     The subresultant PRS of Cohen, *A Course in Computational Algebraic
     Number Theory*, Alg. 3.3.7, with Ducos' two optimizations (L. Ducos,
@@ -146,10 +147,19 @@ def _subresultant(a: list[int], b: list[int]) -> int:
     lc**(delta+1) times too large before its division, which on sparse
     input with a large degree gap, like x^1000 + x^500 + x + 1, costs
     seconds where this takes a fraction of one.
+
+    The second polynomial is always f', of degree d - 1, so the sign starts
+    at 1 (d and d - 1 are never both odd), s at lc(f'), and the first
+    pseudo-remainder lc(f')**2 * f mod f' is deg f - deg f' + 1 = 2 plain
+    reduction steps, each cancelling the leading term.
     """
-    sign = -1 if (len(a) - 1) & (len(b) - 1) & 1 else 1
-    s = b[-1] ** (len(a) - len(b))
-    a, b = b, _pseudo_remainder(a, b)
+    b = [i * c for i, c in enumerate(f)][1:]
+    s = b[-1]
+    r = [s * f[0]] + [s * x - f[-1] * y for x, y in zip(f[1:-1], b)]
+    r = [s * x - r[-1] * y for x, y in zip(r[:-1], b)]
+    while r and not r[-1]:
+        r.pop()
+    sign, a, b = 1, b, r
     while len(b) > 1:
         delta = len(a) - len(b)
         z = b if delta == 1 else [c * _lazard(b[-1], s, delta - 1) // s for c in b]
@@ -204,28 +214,6 @@ def _next_subresultant(a: list[int], b: list[int], z: list[int], s: int) -> list
     return out
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)**(deg a - deg b + 1) * a mod b, trimmed; a and b low degree first.
-
-    A step changes only the deg b coefficients below the current leading
-    one, so it costs O(deg b) however long a is; a coefficient of a takes
-    the powers of lc(b) it owes when the first step reaches it.
-    """
-    lead, top = b[-1], len(b) - 1
-    r = list(a)
-    owed = 1
-    for i in range(len(a) - 1, top - 1, -1):
-        shift = i - top
-        r[shift] *= owed
-        c = r[i]
-        r[shift:i] = [lead * x - c * y for x, y in zip(r[shift:i], b)]
-        owed *= lead
-    r = r[:top]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
 def discriminant(p: Poly) -> Fraction:
     """disc(p) = (-1)**(d(d-1)/2) * res(p, p') / lc(p); zero iff p has a repeated root.
 
@@ -260,7 +248,7 @@ def _integer_discriminant(a: list[int]) -> int:
     if d == 1:
         return 1
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * _subresultant(a, [i * c for i, c in enumerate(a)][1:]) // a[-1]
+    return sign * _subresultant(a) // a[-1]
 
 
 @dataclass(frozen=True)

@@ -645,6 +645,25 @@ def test_reconstruct_refuses_an_equation_above_max_degree(capsys):
     assert code == 0 and doc["inputs"]["delta"] == 1000000000
 
 
+def test_roundtrip_refuses_a_tuple_above_max_degree_quickly(capsys):
+    # s = MAX_DEGREE // 2 entries with delta = 2 rebuild degree MAX_DEGREE + 2; 300 entries already take seconds
+    long_tuple = ",".join(["1/3", "2/7"] * (MAX_DEGREE // 4))
+    start = time.perf_counter()
+    code, doc, _ = run_json(capsys, "roundtrip", "--a", long_tuple)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and doc["error"]["code"] == "invalid_input"
+    assert doc["error"]["message"] == (
+        f"the rebuilt equation would have degree {MAX_DEGREE + 2}, above MAX_DEGREE = {MAX_DEGREE}"
+    )
+
+    # the same inclusive cap as reconstruct's: s = 2 and delta = MAX_DEGREE // 3 pass
+    delta = MAX_DEGREE // 3
+    code, doc, _ = run_json(capsys, "roundtrip", "--a", "2,1", "--delta", str(delta))
+    assert code == 0 and doc["status"] == "pass"
+    code, doc, _ = run_json(capsys, "roundtrip", "--a", "2,1", "--delta", str(delta + 1))
+    assert code == 1 and "MAX_DEGREE" in doc["error"]["message"]
+
+
 EQUATIONS = (
     SEXTIC,
     "y^3 = x^9 + 3*x^6 - 2*x^3 + 1",

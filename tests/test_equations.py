@@ -211,7 +211,7 @@ def near_grammar_texts(draw):
     ),
     st.sampled_from([None, 4]),
 )
-def test_term_path_agrees_with_the_parser(text, digit_limit):
+def test_parse_equation_agrees_with_the_token_parser_oracle(text, digit_limit):
     """parse_equation answers as the token parser of tests/equation_oracle.py does."""
     with mock.patch.object(equations, "_digit_limit", lambda: digit_limit or _digit_limit()):
         assert outcome(parse_equation, text) == outcome(lambda t: _Parser(t).parse(), text)
