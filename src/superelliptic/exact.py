@@ -75,6 +75,17 @@ def _cleared(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // q) for v, q in zip(values, dens)]
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """The text of the rational num/den, as ``str`` of its Fraction: ``num`` or ``num/den``.
+
+    ``num/den`` must be in lowest terms with ``den > 0``, as the parts of a
+    Fraction are.  The renderers write coefficients with it straight from
+    those integer parts, with no Fraction arithmetic for a sign or a
+    magnitude.
+    """
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _is_probable_prime(n: int) -> bool:
     # Miller-Rabin to the 13 ``_BASES``: a proof of primality for
     # n < _PSI13 = 3317044064679887385961981 (~81 bits), the least strong
@@ -436,15 +447,15 @@ class QuadExt:
         return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt({self.d})"
-        mag = abs(self.b)
-        scaled = root if mag == 1 else f"{mag}*{root}"
-        if self.a == 0:
-            return scaled if self.b > 0 else f"-{scaled}"
-        sign = " + " if self.b > 0 else " - "
-        return f"{self.a}{sign}{scaled}"
+        a, b = self.a, self.b
+        if not b.numerator:
+            return _ratio_text(a.numerator, a.denominator)
+        magnitude = _ratio_text(abs(b.numerator), b.denominator)
+        scaled = f"sqrt({self.d})" if magnitude == "1" else f"{magnitude}*sqrt({self.d})"
+        if not a.numerator:
+            return scaled if b.numerator > 0 else f"-{scaled}"
+        sign = " + " if b.numerator > 0 else " - "
+        return f"{_ratio_text(a.numerator, a.denominator)}{sign}{scaled}"
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"

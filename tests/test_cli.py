@@ -382,6 +382,39 @@ def test_integer_flags_accept_a_sign_and_surrounding_space(capsys):
     assert code == 0 and doc["n"] == 3 and doc["d"] == 7
 
 
+@pytest.mark.parametrize(
+    "argv, key, echoed",
+    [
+        (("roundtrip", "--a", "-2,1"), "a", ["-2", "1"]),
+        (("field", "--invariants", "-1,2"), "invariants", ["-1", "2"]),
+        (("reconstruct", "--invariants", "-1/2,3"), "invariants", ["-1/2", "3"]),
+    ],
+    ids=["roundtrip_a", "field_invariants", "reconstruct_invariants"],
+)
+def test_a_list_may_start_with_a_negative_entry(capsys, argv, key, echoed):
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0 and err == ""
+    assert doc["inputs"][key] == echoed
+    if argv[0] == "roundtrip":
+        assert doc["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (("genus", "--n", "-3", "--d", "7"), 1,
+         {"code": "invalid_input", "message": "the exponent n must be an integer >= 2, got -3"}),
+        (("roundtrip", "--a"), 2, {"code": "usage_error", "message": "argument --a: expected one argument"}),
+        (("genus", "--n", "3", "--d", "7", "-x"), 2, {"code": "usage_error", "message": "unrecognized arguments: -x"}),
+    ],
+    ids=["negative_n", "a_without_value", "unknown_option"],
+)
+def test_negative_values_leave_the_other_refusals_as_they_were(capsys, argv, code, error):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert json.loads(out if code == 1 else err)["error"] == error
+
+
 def test_equation_from_stdin(capsys, monkeypatch):
     payload = {"equation": "y^2 = x^8 + 5x^4 + 1", "delta": 2}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))

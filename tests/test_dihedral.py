@@ -91,6 +91,19 @@ def test_discriminant_is_the_quadratic_discriminant(a):
     assert dihedral_discriminant(inv) == quad_disc
 
 
+def test_discriminant_is_computed_once_per_tuple(monkeypatch):
+    inv = DihedralInvariants((Fraction(3, 2), Fraction(-5, 7), Fraction(2)), 2, 2)
+    first = dihedral_discriminant(inv)
+    rec = reconstruct(inv, "plus")
+    with monkeypatch.context() as m:
+        # later calls read the kept values: clearing denominators again would raise
+        m.setattr(dihedral, "_cleared", None)
+        assert dihedral_discriminant(inv) is first
+        assert field_of_definition(inv).discriminant is first
+        assert reconstruct(inv, "plus") == rec
+    assert dihedral_discriminant(DihedralInvariants(inv.values, 2, 2)) == first
+
+
 def test_roots_worked_examples():
     assert leading_coefficients(compute_invariants([2, 1], 2, 2)) == (Fraction(8), Fraction(1))
     plus, minus = leading_coefficients(compute_invariants([1, 1], 2, 2))
@@ -352,8 +365,8 @@ def assert_each_fail(monkeypatch, a, reasons, shift_index=1, shift=1):
         assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("fail", reasons[1], "minus", checks)
     with monkeypatch.context() as m:
         values = compute_invariants(a, 2, 2).values
-        wrong = (values[0] + 1, *values[1:])
-        m.setattr(dihedral.ReconstructedCurve, "invariant_values", lambda rec: wrong)
+        wrong = tuple((v.numerator, v.denominator) for v in (values[0] + 1, *values[1:]))
+        m.setattr(dihedral.ReconstructedCurve, "_invariant_pairs", lambda rec: wrong)
         assert roundtrip_verify(a, 2, 2) == dihedral.RoundtripReport("fail", reasons[2], "minus", 3)
 
 
@@ -452,6 +465,24 @@ def test_certificate_rejects_a_wrong_equation():
     assert swapped.invariant_values() != inv.values
     with pytest.raises(ValueError, match="leading coefficient 0"):
         dataclasses.replace(rec, leading_coefficient=Fraction(0)).invariant_values()
+
+
+def reference_invariant_values(rec):
+    """s_i = c_1**(s+1-i) * c_i / L + c_{s+1-i} on Fractions, for a rational rebuilt equation."""
+    c = (*rec.interior_coefficients, rec.leading_coefficient)
+    s = rec.s
+    return tuple(c[0] ** (s + 1 - i) * c[i - 1] / c[-1] + c[s - i] for i in range(1, s + 1))
+
+
+@given(st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=8), min_size=1, max_size=6),
+       st.fractions(min_value=-12, max_value=12, max_denominator=8).filter(bool))
+def test_invariant_pairs_reduce_to_the_invariant_values(interior, lead):
+    # every rational equation with L != 0, negative L and zero c_i included: the rational
+    # reconstructions and every wrong equation the certificate must refuse
+    rec = dihedral.ReconstructedCurve(lead, tuple(interior), 2, 2, len(interior) + 1, "plus")
+    pairs = rec._invariant_pairs()
+    assert all(den != 0 for _, den in pairs)
+    assert tuple(Fraction(num, den) for num, den in pairs) == rec.invariant_values() == reference_invariant_values(rec)
 
 
 @settings(max_examples=300)

@@ -291,6 +291,63 @@ def test_parse_render_identity(n, coeffs):
     assert render_equation(parsed_n, parsed_f) == text
 
 
+def reference_quadext_text(c):
+    """``str`` of a QuadExt, written with Fraction arithmetic for the signs and magnitudes."""
+    if c.b == 0:
+        return str(c.a)
+    root = f"sqrt({c.d})"
+    mag = abs(c.b)
+    scaled = root if mag == 1 else f"{mag}*{root}"
+    if c.a == 0:
+        return scaled if c.b > 0 else f"-{scaled}"
+    return f"{c.a}{' + ' if c.b > 0 else ' - '}{scaled}"
+
+
+def reference_render(poly):
+    """``render_polynomial`` written with Fraction arithmetic for the signs and magnitudes."""
+    parts = []
+    for e in range(poly.degree, -1, -1):
+        c = poly.coeffs[e]
+        if not c:
+            continue
+        if isinstance(c, QuadExt) and c.b:
+            neg, magnitude = False, f"({reference_quadext_text(c)})"
+        else:
+            c = c.a if isinstance(c, QuadExt) else c
+            neg, magnitude = c < 0, abs(c)
+        text = f"{magnitude}*x^{e}" if e else str(magnitude)
+        if parts:
+            parts.append(f"- {text}" if neg else f"+ {text}")
+        else:
+            parts.append(f"-{text}" if neg else text)
+    return " ".join(parts) if parts else "0"
+
+
+#: Rationals that take each rendering branch: zero, +-1, integers, and p/q of either sign.
+rendered_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-7)]),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def rendered_coefficients(draw, d):
+    """A Fraction, or a QuadExt over Q(sqrt(d)) with a = 0 or b in {0, +-1, +-p/q} among its draws."""
+    a = draw(rendered_rationals)
+    if draw(st.booleans()):
+        return a
+    return QuadExt(a, draw(rendered_rationals), d)
+
+
+@given(st.sampled_from([2, 3, -1, -53]).flatmap(lambda d: st.lists(rendered_coefficients(d), max_size=8)))
+def test_render_agrees_with_the_fraction_reference(coeffs):
+    f = Poly(coeffs)
+    assert render_polynomial(f) == reference_render(f)
+    for c in coeffs:
+        if isinstance(c, QuadExt):
+            assert str(c) == reference_quadext_text(c)
+
+
 def test_parse_rejects_extension_syntax():
     # the renderer can emit sqrt coefficients but the grammar does not read them
     with pytest.raises(EquationSyntaxError):
