@@ -50,7 +50,7 @@ from .dihedral import (
 )
 from .equations import (MAX_DEGREE, EquationSyntaxError, InputTooLargeError, _digit_limit, parse_equation,
                         render_equation)
-from .exact import FactorBoundExceededError, QuadExt, RadicandMismatchError
+from .exact import FactorBoundExceededError, QuadExt
 
 SCHEMA_VERSION = "1"
 
@@ -122,7 +122,6 @@ _ERROR_CODES = (
     (UnsupportedFormError, "unsupported_form"),
     (DegenerateLocusError, "degenerate_locus"),
     (FactorBoundExceededError, "factor_bound_exceeded"),
-    (RadicandMismatchError, "radicand_mismatch"),
 )
 
 

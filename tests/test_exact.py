@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -326,6 +327,189 @@ def test_factor_bound_error_on_a_cofactor_too_long_to_print():
     too_long = "a 19932-bit cofactor has no factor <= 1000000 and is longer"
     with pytest.raises(FactorBoundExceededError, match=too_long):
         squarefree_decompose((10**6 + 3) ** 1000)
+
+
+class CountedPowers(list):
+    """A ``powers`` list for ``exact._fold`` that counts its reads: one per fold step, one per extension."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        if self.reads > 200:
+            raise AssertionError("the fold stopped shrinking")
+        return super().__getitem__(j)
+
+
+_fold = exact._fold  # the package's own, for folded() while a test patches folded() in
+
+
+def folded(p, n, powers):
+    """exact._fold(p, n, powers), checked: nonnegative, congruent to p mod n, within the stop length, in few steps.
+
+    ``powers`` must hold 2**(2**j) mod this very n; residues of an earlier, larger n are still congruences
+    mod its divisor n, but they can be longer than a fold step saves, and the loop need not end.
+    """
+    assert powers == [pow(2, 2**j, n) for j in range(len(powers))]
+    counted = CountedPowers(powers)
+    result = _fold(p, n, counted)
+    assert result >= 0
+    assert (result - p) % n == 0
+    assert result.bit_length() <= max(p.bit_length(), 2 * n.bit_length() + 8192)
+    # each fold step at least halves the length over the stop, or follows one that left a single top bit
+    steps = counted.reads - (len(counted) - len(powers))
+    assert steps <= 2 * p.bit_length().bit_length()
+    assert counted == [pow(2, 2**j, n) for j in range(len(counted))]
+    powers[:] = counted
+    return result
+
+
+#: Length of the longest segment product (~118 kbit), the last segment's.
+LONGEST_PRODUCT_BITS = 118_300
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=31, max_value=2048) | st.integers(min_value=2048, max_value=60_000),
+    st.lists(st.integers(min_value=0, max_value=LONGEST_PRODUCT_BITS) | st.sampled_from(range(-19, 0)), max_size=4),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_fold_is_a_short_nonnegative_residue(n_bits, p_sizes, multiple, rng):
+    # one powers list shared by several products, as the segments of one walk share it; a negative
+    # size stands for a segment product, and `multiple` makes each product a multiple of n
+    n = rng.getrandbits(n_bits) | 1 << (n_bits - 1)
+    powers = [2]
+    for size in p_sizes:
+        p = exact._segment_product(-size - 1) if size < 0 else rng.getrandbits(size)
+        if multiple:
+            p -= p % n
+        result = folded(p, n, powers)
+        if multiple:
+            assert result % n == 0
+        if p.bit_length() <= 2 * n_bits + 8192:
+            assert result == p
+
+
+@pytest.mark.parametrize("n_bits", [10_000, 10_240, 12_000, 16_384, 20_000, 30_000, 40_000, 60_000])
+def test_fold_ends_for_cofactors_of_10_to_60_kbit(n_bits):
+    # with a stop of len(n) + 4096 a fold step here can lengthen p again, and the loop never ends
+    rng = random.Random(n_bits)
+    longest = exact._segment_product(len(exact._EDGES) - 2)
+    for n in (rng.getrandbits(n_bits) | 1 << (n_bits - 1) | 1, 2**n_bits - 1, 2 ** (n_bits - 1) + 1):
+        for p in (longest, 2**LONGEST_PRODUCT_BITS - 1, 2**65_536, 2**65_537 - 1, n * rng.getrandbits(50_000)):
+            assert folded(p, n, [2]).bit_length() <= 2 * n_bits + 8192
+
+
+def plain_gcd_walk(x):
+    """squarefree_decompose as it was before the fold: one plain gcd of the cofactor against each segment product.
+
+    The oracle for the folded walk: it takes the same gcds, so it must give the same decomposition or the
+    same refusal.
+    """
+    x = Fraction(x)
+    n = abs(x.numerator) * x.denominator
+    sign = -1 if x < 0 else 1
+    squarefree = 1
+    root = 1
+    for k, reach in enumerate(exact._EDGES[1:]):
+        g = math.gcd(n, exact._segment_product(k))
+        divided = k == 0 or g > 1
+        odd = True
+        while g > 1:
+            n //= g
+            deeper = math.gcd(n, g)
+            if odd:
+                squarefree *= g // deeper
+            else:
+                root *= g
+            g = deeper
+            odd = not odd
+        if reach * reach > n:
+            break
+        if divided and n < PSI13 and exact._is_probable_prime(n):
+            squarefree *= n
+            n = 1
+            break
+    if n > 1:
+        if reach * reach > n:
+            squarefree *= n
+        else:
+            s = math.isqrt(n)
+            if s * s == n and s.bit_length() <= MAX_COFACTOR_BITS and exact._is_probable_prime(s):
+                root *= s
+            elif n.bit_length() > MAX_COFACTOR_BITS:
+                raise FactorBoundExceededError(
+                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} and is "
+                    f"longer than the {MAX_COFACTOR_BITS}-bit limit of the primality test"
+                )
+            elif exact._is_probable_prime(n):
+                squarefree *= n
+            else:
+                raise FactorBoundExceededError(
+                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} "
+                    "and is neither prime nor a prime square"
+                )
+    return SquarefreeDecomposition(sign * squarefree, Fraction(root, x.denominator))
+
+
+def outcome(decompose, x):
+    """decompose(x), or the text of its FactorBoundExceededError."""
+    try:
+        return decompose(x)
+    except FactorBoundExceededError as exc:
+        return str(exc)
+
+
+def prime_above(rng, bits):
+    """A random prime of about ``bits`` bits, above the factor bound."""
+    return sympy.nextprime(max(DEFAULT_FACTOR_BOUND, rng.getrandbits(bits) | 1 << (bits - 1)))
+
+
+def rough(rng, bits):
+    """A random odd number of ``bits`` bits with no prime factor below 4096, nor a square root."""
+    n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    while math.gcd(n, exact._segment_product(0)) > 1 or math.isqrt(n) ** 2 == n:
+        n += 2
+    return n
+
+
+def oracle_radicands():
+    """Seeded radicands for every branch of the walk: (kind, rational)."""
+    rng = random.Random(2026)
+    small = lambda: math.prod(rng.choice(EDGE_PRIMES[:6] + (2, 3, 5, 7)) for _ in range(rng.randint(0, 3)))
+    segment_primes = lambda: math.prod(rng.choice(EDGE_PRIMES) ** rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    for _ in range(60):
+        yield "at most 30 bits", Fraction(rng.randint(1, 2**30) * rng.choice([1, -1]), rng.randint(1, 2**15))
+        yield "segment 0 only", Fraction(small() * rng.randint(1, 4095**2), rng.randint(1, 4095))
+    for bits in range(40, 601, 20):
+        p, q = prime_above(rng, bits // 2), prime_above(rng, bits - bits // 2)
+        yield "two primes", Fraction(small() * p * q, rng.randint(1, 50))
+        yield "two primes and segment primes", Fraction(rng.choice([1, -1]) * segment_primes() * p * q, small())
+        yield "prime", Fraction(segment_primes() * p)
+        yield "prime square", Fraction(small() * p * p, segment_primes())
+    for bits in (40, 160):
+        yield "prime square", Fraction(3 * prime_above(rng, bits) ** 2)
+    for bits in (1100, 2040):
+        yield "prime square over MAX_COFACTOR_BITS", Fraction(3 * prime_above(rng, bits) ** 2)
+    for bits in (2100, 2600, 4000, 12_000, 40_000):
+        yield "over MAX_COFACTOR_BITS", Fraction(segment_primes() * rough(rng, bits))
+    # n falls from ~10 kbit to ~100 bits in segment 5, so the residues kept for folding must start over
+    high_power = sympy.nextprime(65536) ** 600
+    yield "high power of a segment prime", Fraction(high_power * prime_above(rng, 50) * prime_above(rng, 50))
+    yield "as long as the products", Fraction(rough(rng, 95_000))
+
+
+def test_folded_walk_decides_as_the_plain_gcd_walk(monkeypatch):
+    monkeypatch.setattr(exact, "_fold", folded)  # every fold checked, on residues of the n it folds by
+    seen = Counter()
+    for kind, x in oracle_radicands():
+        expected = outcome(plain_gcd_walk, x)
+        assert outcome(squarefree_decompose, x) == expected, (kind, x)
+        seen[kind, isinstance(expected, str)] += 1
+    # both branches of the cofactor logic are reached: accepted and refused
+    assert seen["two primes", True] > 0 and seen["prime", False] > 0 and seen["prime square", False] > 0
+    assert seen["over MAX_COFACTOR_BITS", True] == 5 and seen["prime square over MAX_COFACTOR_BITS", False] == 2
 
 
 def test_quadext_construction_rejects_bad_radicands():
