@@ -231,7 +231,8 @@ def _fold(p: int, n: int, powers: list[int]) -> int:
     While p is longer than 2*len(n) + 8192 bits, a step writes p = h*2**k + low,
     with k the largest power of two below p's length, as h*(2**k mod n) + low.
     ``powers[j]`` holds 2**(2**j) mod n for this n only: start it as [2]
-    (n > 2), and it grows by squaring on need.  The stop keeps k above
+    (n > 2: a walk folds from segment 2 on, which it reaches only with
+    n >= 8192**2), and it grows by squaring on need.  The stop keeps k above
     len(n) + 4096, so every step shrinks p: with a stop of len(n) + 4096 a
     10-kbit n folds forever, and with a fixed 4096 segment 0 (~5.9 kbit) would
     be folded for nothing.
@@ -254,18 +255,18 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     in width up to 65536, then ranges 65536 wide, the last one taking the
     tail up to the bound.  One gcd of what is left against the product of a
     segment's primes finds all of them that divide it, and a chain of gcds
-    then reads off their exponents.  When what is left is over 30 bits, a
-    product is first folded to a number congruent to it mod what is left, by
-    multiplications alone (:func:`_fold`), which gives the same gcd at about
-    half the cost of reducing it by long division.  The walk stops early
-    once the next segment starts above the square root of what is left.  It
-    also stops after segment 0, or after a segment that divided something
-    out, when what is left lies below ``_PSI13`` (~81 bits) and passes the
-    13-base Miller-Rabin test, which there proves it prime.  The segment
-    products (~180 KB in all) are built on first use and kept, nothing at
-    import: when a segment is missing the kept prefix doubles (1, 2, 4, 8,
-    16, then all 19 segments), and each extension sieves once from 0 to its
-    end.
+    then reads off their exponents.  A product longer than twice what is
+    left plus 8192 bits is first folded to a number congruent to it mod what
+    is left, by multiplications alone (:func:`_fold`), which gives the same
+    gcd at about half the cost of reducing it by long division; segments 0
+    and 1 are never that long.  The walk stops early once the next segment
+    starts above the square root of what is left.  It also stops after
+    segment 0, or after a segment that divided something out, when what is
+    left lies below ``_PSI13`` (~81 bits) and passes the 13-base
+    Miller-Rabin test, which there proves it prime.  The segment products
+    (~180 KB in all) are built on first use and kept, nothing at import:
+    when a segment is missing the kept prefix doubles (1, 2, 4, 8, 16, then
+    all 19 segments), and each extension sieves once from 0 to its end.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base
@@ -285,9 +286,7 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     root = 1
     powers = [2]  # 2**(2**j) mod n for _fold; they start over whenever n changes
     for k, reach in enumerate(_EDGES[1:]):  # every prime below reach is divided out after segment k
-        product = _segment_product(k)
-        if n.bit_length() > 30:  # below that CPython divides by one machine digit, faster than a fold
-            product = _fold(product, n, powers)
+        product = _fold(_segment_product(k), n, powers)
         # g holds the primes of the segment with exponent >= j in n, for j = 1, 2, ...
         g = math.gcd(n, product)
         divided = k == 0 or g > 1  # segment 0 counts as dividing: the first chance to stop

@@ -370,7 +370,7 @@ LONGEST_PRODUCT_BITS = 118_300
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(min_value=31, max_value=2048) | st.integers(min_value=2048, max_value=60_000),
+    st.integers(min_value=27, max_value=2048) | st.integers(min_value=2048, max_value=60_000),
     st.lists(st.integers(min_value=0, max_value=LONGEST_PRODUCT_BITS) | st.sampled_from(range(-19, 0)), max_size=4),
     st.booleans(),
     st.randoms(use_true_random=False),
@@ -482,6 +482,9 @@ def oracle_radicands():
     for _ in range(60):
         yield "at most 30 bits", Fraction(rng.randint(1, 2**30) * rng.choice([1, -1]), rng.randint(1, 2**15))
         yield "segment 0 only", Fraction(small() * rng.randint(1, 4095**2), rng.randint(1, 4095))
+        # the shortest cofactors that reach segments 2 and 3, the first long enough to fold
+        p, q = sympy.nextprime(rng.randint(8192, 32_700)), sympy.nextprime(rng.randint(8192, 32_700))
+        yield "27-30 bits, primes above 8192", Fraction(small() * p * q, rng.randint(1, 50))
     for bits in range(40, 601, 20):
         p, q = prime_above(rng, bits // 2), prime_above(rng, bits - bits // 2)
         yield "two primes", Fraction(small() * p * q, rng.randint(1, 50))
@@ -509,6 +512,7 @@ def test_folded_walk_decides_as_the_plain_gcd_walk(monkeypatch):
         seen[kind, isinstance(expected, str)] += 1
     # both branches of the cofactor logic are reached: accepted and refused
     assert seen["two primes", True] > 0 and seen["prime", False] > 0 and seen["prime square", False] > 0
+    assert seen["27-30 bits, primes above 8192", False] == 60
     assert seen["over MAX_COFACTOR_BITS", True] == 5 and seen["prime square over MAX_COFACTOR_BITS", False] == 2
 
 
