@@ -74,6 +74,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         # only a plain number such as -2 for one.
         self._negative_number_matcher = re.compile(r"-[0-9]")
 
+    def _check_value(self, action, value):
+        # argparse's own wording of this error changed within 3.13 (later
+        # patches stopped quoting the choices), and the CLI bytes must not
+        # depend on the patch release; this is the wording of 3.10 to 3.13.0.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
     def error(self, message):
         raise UsageError(message)
 

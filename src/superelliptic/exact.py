@@ -72,6 +72,8 @@ def _cleared(values) -> tuple[int, list[int]]:
     """
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
+    if den == 1:
+        return 1, [v.numerator for v in values]
     return den, [v.numerator * (den // q) for v, q in zip(values, dens)]
 
 

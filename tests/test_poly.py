@@ -148,6 +148,28 @@ def test_discriminant_matches_sympy_exactly():
         assert discriminant(f) == from_sympy(sympy.discriminant(to_sympy(f))), f
 
 
+def test_discriminant_matches_sympy_on_integer_polynomials():
+    """Integer f of degree 3..16 with coefficients up to 10^6, the height validation sees.
+
+    Dense f takes a normal step (degree drop 1) at every remainder; a planted
+    square gives 0.  x^d + h with deg h = d - 3 drops two degrees at its
+    first remainder, so one defective step comes before the normal ones.
+    """
+    rng = random.Random(27)
+
+    def integers(degree):
+        return [rng.randint(-(10**6), 10**6) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 10**6)]
+
+    for d in range(3, 17):
+        dense = Poly(integers(d))
+        square = Poly(integers(rng.randint(1, d // 2)))
+        planted = square * square * Poly(integers(d - 2 * square.degree))
+        gapped = Poly(integers(d - 3) + [0, 0, 1])
+        assert discriminant(planted) == 0, planted
+        for f in (dense, planted, gapped):
+            assert discriminant(f) == from_sympy(sympy.discriminant(to_sympy(f))), f
+
+
 def test_discriminant_is_defined_over_q_only():
     root2 = QuadExt(0, 1, 2)
     for quad in (Poly([root2, 1, 1]), Poly([1, root2]), Poly([QuadExt(3, 0, 2), 0, 1])):
