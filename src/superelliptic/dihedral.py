@@ -42,27 +42,29 @@ s_1 - 2*L_+- = -+2*sigma*sqrt(d), and the identity splits as
 The rational parts B_i/2 and the irrational parts are the same for both
 roots, so one pass per tuple (``DihedralInvariants._root_split``) gives
 both rebuilt equations, which are Galois conjugates when d != 1;
-``reconstruct`` picks one of them and does no arithmetic.  An alternative closed form for c_i that
-circulates,
+``reconstruct`` picks one of them and does no arithmetic.
+
+An alternative closed form for c_i that circulates,
 
     2**(s-i) * s_1 * (s_s**i * s_i - T * s_{s+1-i}) / (2**s * s_1**2 - s_s**(s+1)),
 
 is wrong: for a = (2, 1) it yields 144/65 where the true coefficient is
 a_1*a_s = 2.  The roundtrip test suite adjudicates this; see README.
 
-The invariants, their discriminant and the root split run on integers:
-each writes its rational inputs over one common denominator D
-(``exact._cleared``), evaluates the formulas above on the integer
-numerators and builds one Fraction per result, so each value costs one gcd
-instead of one per intermediate product.  Fractions are canonical, so the
-results are exactly those of the formulas evaluated on Fractions.  The
-discriminant is computed once per tuple, and every ``dihedral_discriminant``
-call returns that value.  ``roundtrip_verify`` checks by cross-multiplication
-and builds a Fraction only for a failure message: it compares each rebuilt
-coefficient with a_i * a_s**i through a_i's own numerator and denominator
-and running powers of a_s's, and each certificate value with s_i through
-the unreduced pairs of ``ReconstructedCurve._invariant_pairs``.  The
-certificate over Q(sqrt(d)) stays QuadExt arithmetic.
+The invariants, their discriminant, the root split and the certificate run
+on integers, each term read off its own operands' numerators and
+denominators with one Fraction per result: only single values are raised
+to powers, never a denominator common to the whole tuple, whose powers
+would outgrow the results on long tuples.  ``compute_invariants`` and
+``ReconstructedCurve._invariant_pairs`` share one loop, ``_term_pairs``.
+Fractions are canonical, so the results are exactly those of the formulas
+evaluated on Fractions.  The discriminant is computed once per tuple.
+``roundtrip_verify`` checks by cross-multiplication and builds a Fraction
+only for a failure message: each rebuilt coefficient against a_i * a_s**i
+from a_i's own numerator and denominator and running powers of a_s's, each
+certificate value against s_i through the unreduced pairs of
+``ReconstructedCurve._invariant_pairs``.  The certificate over Q(sqrt(d))
+stays QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .curve import G_DELTA, SuperellipticCurve, _integer_at_least, _n_message, classify_normal_form
-from .exact import QuadExt, _cleared, _exact, is_perfect_square, squarefree_decompose
+from .exact import QuadExt, _exact, is_perfect_square, squarefree_decompose
 from .poly import Poly
 
 
@@ -122,10 +124,12 @@ class DihedralInvariants:
     def _discriminant(self) -> Fraction:
         """The value ``dihedral_discriminant`` returns, worked out on first use."""
         s = self.s
-        # 2**(s+1) * (2**(s+1) * s_1**2 - 4 * s_s**(s+1)) with s_1 = head/den and s_s = tail/den
-        den, (head, tail) = _cleared((self.values[0], self.values[-1]))
-        num = 2 ** (s + 3) * (2 ** (s - 1) * head * head * den ** (s - 1) - tail ** (s + 1))
-        return Fraction(num, den ** (s + 1))
+        # 2**(s+1) * (2**(s+1) * s_1**2 - 4 * s_s**(s+1)) with s_1 = h/w_1 and s_s = t/w_s
+        h, w_1 = self.values[0].numerator, self.values[0].denominator
+        t, w_s = self.values[-1].numerator, self.values[-1].denominator
+        lead = w_s ** (s + 1)
+        num = 2 ** (s - 1) * h * h * lead - t ** (s + 1) * w_1 * w_1
+        return Fraction(2 ** (s + 3) * num, w_1 * w_1 * lead)
 
     @cached_property
     def field_report(self) -> FieldReport:
@@ -170,42 +174,44 @@ class DihedralInvariants:
         """
         report = self.field_report
         s = self.s
-        # s_j = v[j-1]/den, and root = square_part = root.numerator / root.denominator
-        den, v = _cleared(self.values)
+        # s_j = u[j-1]/w[j-1], and root = square_part = root.numerator / root.denominator
+        u, w = [v.numerator for v in self.values], [v.denominator for v in self.values]
         root = report.square_part
         d = report.squarefree_radicand or 1
         if report.is_square:
-            # s_1/2 +- sigma over the denominator 2**(s+2) * den * root.denominator
-            centre = (v[0] * root.denominator) << (s + 1)
-            shift = root.numerator * den
-            scale = (den * root.denominator) << (s + 2)
+            # s_1/2 +- sigma over the denominator 2**(s+2) * w_1 * root.denominator
+            centre = (u[0] * root.denominator) << (s + 1)
+            shift = root.numerator * w[0]
+            scale = (w[0] * root.denominator) << (s + 2)
             roots = Fraction(centre + shift, scale), Fraction(centre - shift, scale)
         else:
-            half = Fraction(v[0], 2 * den)
+            half = Fraction(u[0], 2 * w[0])
             shift = QuadExt(0, Fraction(root.numerator, root.denominator << (s + 2)), d)
             roots = half + shift, half - shift
         if report.is_degenerate:
             return roots, None
-        # With g = 2*den, A_i = (s_s/2)**i * s_i, B_i = s_{s+1-i}, 2*sigma*d = root*d/2**(s+1),
-        # low = root.numerator * d * den * g**(i-1) and bottom = low * g:
-        #   B_i/2 = v[s-i] * low / bottom and q_i = (A_i - s_1*B_i/2) / (2*sigma*d) = q / bottom,
-        # with q = top * (v[s-1]**i * v[i-1] - g**(i-1) * v[s-i] * v[0]) and top = 2**(s+1) * root.denominator.
-        g, top = 2 * den, root.denominator << (s + 1)
-        power, lower, bottom = 1, 1, root.numerator * d * den
+        # With b = s+1-i, P = u_s**i, W = (2*w_s)**i and 2*sigma*d = root*d/2**(s+1), each term
+        # reads B_i/2 = u_b/(2*w_b) and q_i = (A_i - s_1*B_i/2) / (2*sigma*d) = q / bottom, with
+        #   q = 2**(s+1) * root.denominator * (2*P*u_i*w_1*w_b - u_1*u_b*W*w_i),
+        #   bottom = 2*w_b*part and part = W*w_i * w_1*root.numerator*d,
+        # so that B_i/2 -+ q_i = (u_b*part -+ q) / bottom.
+        top = root.denominator << (s + 1)
+        left, right, low = 2 * w[0] * top, u[0] * top, w[0] * root.numerator * d
+        power, scale = 1, 1
         plus, minus = [], []
         for i in range(1, s):
-            power *= v[-1]
-            b = v[s - i]
-            low, bottom = bottom, bottom * g
-            q = top * (power * v[i - 1] - lower * b * v[0])
+            power, scale = power * u[-1], scale * 2 * w[-1]
+            u_b, w_b, w_i = u[s - i], w[s - i], w[i - 1]
+            q = power * u[i - 1] * w_b * left - u_b * scale * w_i * right
+            part = scale * w_i * low
+            bottom = 2 * w_b * part
             if report.is_square:
-                plus.append(Fraction(b * low - q, bottom))
-                minus.append(Fraction(b * low + q, bottom))
+                plus.append(Fraction(u_b * part - q, bottom))
+                minus.append(Fraction(u_b * part + q, bottom))
             else:
-                half_b = Fraction(b, g)
+                half_b = Fraction(u_b, 2 * w_b)
                 plus.append(QuadExt._of(half_b, Fraction(-q, bottom), d))
                 minus.append(QuadExt._of(half_b, Fraction(q, bottom), d))
-            lower *= g
         return roots, {"plus": tuple(plus), "minus": tuple(minus)}
 
 
@@ -219,16 +225,27 @@ def compute_invariants(a, n: int, delta: int) -> DihedralInvariants:
     s = len(a)
     if s < 2:
         raise ValueError(f"need at least 2 interior coefficients, got {s}")
-    # a_j = v[j-1]/den: s_i = (v[0]**k * v[i-1] + v[s-1]**k * v[s-i]) / den**(k+1), k = s+1-i
-    den, v = _cleared(a)
-    values = [None] * s
-    first, last, scale = 1, 1, den
-    for k in range(1, s + 1):
-        first *= v[0]
-        last *= v[-1]
-        scale *= den
-        values[s - k] = Fraction(first * v[s - k] + last * v[k - 1], scale)
-    return DihedralInvariants(tuple(values), n, delta)
+    pairs = [(v.numerator, v.denominator) for v in a]
+    values = tuple([Fraction(num, den) for num, den in _term_pairs(pairs[0], pairs[-1], pairs, pairs)])
+    return DihedralInvariants(values, n, delta)
+
+
+def _term_pairs(x, y, u, v) -> list:
+    """The unreduced ``(num, den)`` of x**k * u_i + y**k * v_k for i = 1..s, k = s+1-i.
+
+    Every operand is a ``(numerator, denominator)`` pair of ints, ``u`` and
+    ``v`` list s of them, and only x and y are raised to powers:
+
+        (x_p**k * y_q**k * u_p * v_q + y_p**k * x_q**k * v_p * u_q) / (x_q**k * y_q**k * u_q * v_q).
+    """
+    (x_p, x_q), (y_p, y_q) = x, y
+    step_x, step_y, step_q = x_p * y_q, y_p * x_q, x_q * y_q
+    power_x = power_y = power_q = 1
+    pairs = []
+    for (u_p, u_q), (v_p, v_q) in zip(reversed(u), v):  # k = 1..s
+        power_x, power_y, power_q = power_x * step_x, power_y * step_y, power_q * step_q
+        pairs.append((power_x * u_p * v_q + power_y * v_p * u_q, power_q * u_q * v_q))
+    return pairs[::-1]
 
 
 def dihedral_discriminant(inv: DihedralInvariants) -> Fraction:
@@ -338,27 +355,20 @@ class ReconstructedCurve:
     def _invariant_pairs(self) -> tuple:
         """``(numerator, denominator)`` of each s_i of ``invariant_values``, for rational L != 0.
 
-        Each c_j = p_j/q_j is read off its own numerator and denominator, so
-        with k = s+1-i
+        They are ``_term_pairs`` with x = c_1, y = 1, u_i = c_i/L and v = c,
+        each c_j = p_j/q_j read off its own numerator and denominator and
+        c_i/L taken as the pair (p_i*q_L, q_i*p_L), so with k = s+1-i
 
-            s_i = (p_1**k * p_i * q_L * q_k + p_k * q_1**k * q_i * p_L) / (q_1**k * q_i * p_L * q_k).
+            s_i = (p_1**k * (p_i*q_L) * q_k + q_1**k * p_k * (q_i*p_L)) / (q_1**k * (q_i*p_L) * q_k).
 
         The pairs are not reduced, and a denominator is negative when L is:
         ``roundtrip_verify`` compares them by cross-multiplication.
         """
         c = (*self.interior_coefficients, self.leading_coefficient)
-        p = [x.numerator for x in c]
-        q = [x.denominator for x in c]
-        s = self.s
-        pairs = [None] * s
-        first, first_den = 1, 1
-        for k in range(1, s + 1):
-            first *= p[0]
-            first_den *= q[0]
-            i = s + 1 - k
-            head, den = first * p[i - 1] * q[-1], first_den * q[i - 1] * p[-1]
-            pairs[i - 1] = (head * q[k - 1] + p[k - 1] * den, den * q[k - 1])
-        return tuple(pairs)
+        pairs = [(x.numerator, x.denominator) for x in c]
+        p_L, q_L = pairs[-1]
+        over_lead = [(p * q_L, q * p_L) for p, q in pairs]
+        return tuple(_term_pairs(pairs[0], (1, 1), over_lead, pairs))
 
 
 def reconstruct(inv: DihedralInvariants, root_choice: str = "minus") -> ReconstructedCurve:

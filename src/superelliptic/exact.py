@@ -62,21 +62,6 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-def _cleared(values) -> tuple[int, list[int]]:
-    """(D, [v*D for v in values]): the least common denominator of the rationals ``values``.
-
-    ``values`` are ints or Fractions.  Arithmetic on the integer numerators
-    takes no gcd per step, so a result over a power of D costs one Fraction
-    and one gcd, where the same formula on Fractions normalizes every
-    intermediate product.
-    """
-    dens = [v.denominator for v in values]
-    den = math.lcm(*dens)
-    if den == 1:
-        return 1, [v.numerator for v in values]
-    return den, [v.numerator * (den // q) for v, q in zip(values, dens)]
-
-
 def _ratio_text(num: int, den: int) -> str:
     """The text of the rational num/den, as ``str`` of its Fraction: ``num`` or ``num/den``.
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _cleared, _exact
+from .exact import _exact
 
 
 class Poly:
@@ -131,7 +131,8 @@ def _primitive(p: Poly) -> tuple[Fraction, list[int]]:
     for c in p.coeffs:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"discriminants are defined over Q here, not for the coefficient {c!r}")
-    den, ints = _cleared(p.coeffs)
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     num = math.gcd(*ints)
     return Fraction(num, den), ints if num == 1 else [c // num for c in ints]
 

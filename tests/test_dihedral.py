@@ -96,8 +96,8 @@ def test_discriminant_is_computed_once_per_tuple(monkeypatch):
     first = dihedral_discriminant(inv)
     rec = reconstruct(inv, "plus")
     with monkeypatch.context() as m:
-        # later calls read the kept values: clearing denominators again would raise
-        m.setattr(dihedral, "_cleared", None)
+        # later calls read the kept values: building a Fraction again would raise
+        m.setattr(dihedral, "Fraction", None)
         assert dihedral_discriminant(inv) is first
         assert field_of_definition(inv).discriminant is first
         assert reconstruct(inv, "plus") == rec

@@ -1,13 +1,16 @@
 """The dihedral layer against its formulas written out in Fraction arithmetic.
 
 ``dihedral`` computes the invariants, their discriminant, the root split and
-the certificate on integer numerators over one common denominator.  The
-oracles below are the same formulas on Fractions, one operation at a time.
-Fractions are canonical, so the two must agree bit for bit: the tests
-compare ``repr``, which also tells an int from a Fraction.
+the certificate on integers, each term from its own operands' numerators
+and denominators.  The oracles below are the same formulas on Fractions,
+one operation at a time.  Fractions are canonical, so the two must agree bit
+for bit: the tests compare ``repr``, which also tells an int from a
+Fraction.  Besides the drawn short tuples, explicit examples of 40 and 60
+entries check the long tuples that per-term clearing is for.
 """
 
 import operator
+import random
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -78,6 +81,17 @@ def oracle_invariant_values(rec):
     return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
 
 
+def seeded_entries(count, seed):
+    """``count`` entries p/q with 1 <= p, q <= 999, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(count)]
+
+
+LONG_TUPLE = seeded_entries(60, 14)
+# s_1 = 3/7 and s_s = 2 give the discriminant -2**(2s+2) * 187 / 49: radicand -187
+LONG_INVARIANTS = [Fraction(3, 7), *seeded_entries(38, 15), Fraction(2)]
+
+
 def same(got, expected):
     assert repr(got) == repr(expected)
 
@@ -123,6 +137,8 @@ def check_tuple(inv):
 @example([Fraction(2), Fraction(1)])
 @example([Fraction(0), Fraction(3)])
 @example([Fraction(5, 7), Fraction(0), Fraction(-3, 1000)])
+@example(LONG_TUPLE)
+@example([*LONG_TUPLE[:-1], Fraction(0)])
 def test_forward_tuples_match_the_fraction_formulas(a):
     inv = compute_invariants(a, 2, 2)
     same(inv.values, oracle_invariants(a))
@@ -135,6 +151,7 @@ def test_forward_tuples_match_the_fraction_formulas(a):
 @example([Fraction(1), Fraction(1)])  # discriminant 32 = 2 * 4**2
 @example([Fraction(2), Fraction(2)])  # degenerate: 8 * (32 - 32) = 0
 @example([Fraction(-7, 3), Fraction(5, 999), Fraction(11, 2)])
+@example(LONG_INVARIANTS)
 def test_invariant_tuples_match_the_fraction_formulas(values):
     # read as invariants, random tuples give non-square discriminants of both signs
     check_tuple(DihedralInvariants(values, 3, 2))

@@ -20,7 +20,6 @@ from superelliptic.exact import (
     QuadExt,
     RadicandMismatchError,
     SquarefreeDecomposition,
-    _cleared,
     _exact,
     integer_nth_root,
     is_perfect_square,
@@ -61,13 +60,6 @@ def test_exact_keeps_a_fraction_and_converts_everything_else():
         assert type(got) is Fraction and got == expected
     with pytest.raises(TypeError, match="floats are not exact; pass a Fraction or an int"):
         _exact(0.5)
-
-
-@given(st.lists(st.one_of(rationals, st.integers(-(10**30), 10**30)), max_size=8))
-def test_cleared_puts_every_value_over_the_least_common_denominator(values):
-    den, numerators = _cleared(values)
-    assert den == math.lcm(*(Fraction(v).denominator for v in values))
-    assert [Fraction(num, den) for num in numerators] == [Fraction(v) for v in values]
 
 
 def test_integer_nth_root_examples():
