@@ -3,8 +3,14 @@
 Subcommands: ``invariants``, ``classify``, ``genus``, ``field``,
 ``reconstruct``, ``roundtrip``.  Output is JSON by default (``--no-json`` for
 a plain key: value listing) and is byte-identical for identical invocations:
-keys are sorted, exact rationals are serialized as ``"p/q"`` strings (never
-floats), and quadratic-field elements as ``{"a": "p/q", "b": "p/q", "d": n}``.
+exact rationals are serialized as ``"p/q"`` strings (never floats), and
+quadratic-field elements as ``{"a": "p/q", "b": "p/q", "d": n}``.  The JSON
+has the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, written in one
+pass: sorted keys, a two-space indent, ``": "`` and ``","`` as separators, and
+ASCII only (other characters as ``\\uXXXX``).  In the listing, a string that
+``str.splitlines()`` would split (at ``\\n``, ``\\r``, ``\\v``, ``\\f``,
+``\\x1c``-``\\x1e``, ``\\x85``, U+2028 or U+2029) is written as its JSON string
+literal, so each line holds one key or one item.
 
 ``_COMMANDS`` declares each subcommand's input keys and ``_INPUTS`` each
 key's flag and stdin types.  ``main`` merges the inputs by one rule (a set
@@ -35,6 +41,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .curve import G_DELTA, CurveValidationError, classify_normal_form, genus, validate
 from .dihedral import (
@@ -89,35 +96,72 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, QuadExt):
-        return {"a": str(value.a), "b": str(value.b), "d": value.d}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+#: Each scalar type's JSON text; a string goes through the C escaper that json.dumps uses itself.
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,  # ValueError past the interpreter's digit limit
+    Fraction: lambda value: f'"{value!s}"',
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_json(value, chunks: list, pad: str) -> None:
+    """Append the JSON text of ``value`` to ``chunks``; ``pad`` is the newline and indent of its lines.
+
+    The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` with each
+    Fraction as its ``str`` and each QuadExt as its ``{"a", "b", "d"}`` object.
+    Types match exactly: any other type, or a key that is not a string, raises TypeError.
+    """
+    kind = type(value)
+    if kind in _JSON_LEAVES:
+        chunks.append(_JSON_LEAVES[kind](value))
+    elif kind is dict:
+        inner, opener = pad + "  ", "{"
+        for key in sorted(value):
+            chunks += (opener, inner, encode_basestring_ascii(key), ": ")
+            _write_json(value[key], chunks, inner)
+            opener = ","
+        chunks.append(pad + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner, opener = pad + "  ", "["
+        for item in value:
+            chunks += (opener, inner)
+            _write_json(item, chunks, inner)
+            opener = ","
+        chunks.append(pad + "]" if value else "[]")
+    elif kind is QuadExt:
+        _write_json({"a": value.a, "b": value.b, "d": value.d}, chunks, pad)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _human_lines(value, indent=0):
-    """A dict as "key: value" lines and a list as "- item" lines, nesting indented."""
+    """A dict as "key: value" lines and a list or tuple as "- item" lines, nesting indented.
+
+    A QuadExt nests as its a/b/d mapping; a string with a line break is written as its JSON literal.
+    """
     pad = "  " * indent
     for key, inner in value.items() if isinstance(value, dict) else ((None, inner) for inner in value):
-        if isinstance(inner, (dict, list)):
+        if isinstance(inner, QuadExt):
+            inner = {"a": inner.a, "b": inner.b, "d": inner.d}
+        if isinstance(inner, (dict, list, tuple)):
             if key is not None:
                 yield f"{pad}{key}:"
             yield from _human_lines(inner, indent + 1)
         else:
+            if isinstance(inner, str) and inner and inner.splitlines() != [inner]:
+                inner = encode_basestring_ascii(inner)
             yield f"{pad}- {inner}" if key is None else f"{pad}{key}: {inner}"
 
 
 def _render(command: str, body: dict, as_json: bool) -> str:
     """The whole document as text, so that an error while rendering leaves nothing written."""
-    doc = _jsonable({"schema_version": SCHEMA_VERSION, "command": command, **body})
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **body}
     if as_json:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        chunks = []
+        _write_json(doc, chunks, "\n")
+        return "".join(chunks) + "\n"
     return "".join(line + "\n" for line in _human_lines(doc))
 
 

@@ -10,14 +10,16 @@ import textwrap
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superelliptic
-from superelliptic.cli import MAX_RANDOM, _build_parser, main
+from superelliptic.cli import MAX_RANDOM, _build_parser, _write_json, main
 from superelliptic.equations import MAX_DEGREE
+from superelliptic.exact import QuadExt
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
 
@@ -608,6 +610,86 @@ def test_plain_listing_mode(capsys):
     lines = out.splitlines()
     assert "schema_version: 1" in lines
     assert any(line.startswith("discriminant: 3136") for line in lines)
+
+
+#: The characters that str.splitlines() breaks a line at and that equation text reads as white space.
+LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", [*LINE_BREAKS, "\t"], ids=[f"U+{ord(c):04X}" for c in [*LINE_BREAKS, "\t"]])
+def test_plain_listing_writes_a_string_with_a_line_break_as_its_json_literal(capsys, brk):
+    equation = f"y^2 = x^6 +{brk} x^4 + 1"
+    code, out, err = run(capsys, "classify", equation, "--no-json")
+    _, tidy, _ = run(capsys, "classify", "y^2 = x^6 + x^4 + 1", "--no-json")
+    assert code == 0 and err == ""
+    lines = out.split("\n")[:-1]
+    assert len(lines) == len(tidy.split("\n")[:-1])
+    assert all(re.fullmatch(r"( *)(- .*|[a-z_]+:( .*)?)", line) for line in lines), lines
+    shown = equation if brk == "\t" else json.dumps(equation)  # a tab breaks no line
+    assert f"  equation: {shown}" in lines
+    # the JSON document echoes the text as it was given
+    _, doc, _ = run_json(capsys, "classify", equation)
+    assert doc["inputs"]["equation"] == equation
+
+
+def write_json(value) -> str:
+    chunks = []
+    _write_json(value, chunks, "\n")
+    return "".join(chunks)
+
+
+def convert(value):
+    """``value`` with each Fraction as its str, each QuadExt as its a/b/d object and each tuple as a list."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, QuadExt):
+        return {"a": str(value.a), "b": str(value.b), "d": value.d}
+    if isinstance(value, (list, tuple)):
+        return [convert(item) for item in value]
+    if isinstance(value, dict):
+        return {key: convert(item) for key, item in value.items()}
+    return value
+
+
+awkward_text = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "é", "\U0001f600"]),
+    max_size=8,
+)
+# past 4300 digits an int prints only where the interpreter's limit is raised or off
+long_ints = st.builds(lambda digits, low, sign: sign * (10 ** digits + low),
+                      st.integers(100, 5000), st.integers(0, 10 ** 6), st.sampled_from([1, -1]))
+fractions = st.fractions() | st.builds(Fraction, long_ints, st.integers(1, 10 ** 6))
+writer_leaves = (st.none() | st.booleans() | st.integers() | long_ints | awkward_text | fractions
+                 | st.builds(QuadExt, fractions, fractions, st.sampled_from([2, 3, -1, -7, 10 ** 40 + 1])))
+writer_documents = st.recursive(
+    writer_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(awkward_text, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(writer_documents)
+def test_the_writer_gives_the_bytes_of_json_dumps(document):
+    try:
+        expected = json.dumps(convert(document), sort_keys=True, indent=2)
+    except ValueError:  # an int past the interpreter's limit for writing it as text
+        with pytest.raises(ValueError):
+            write_json(document)
+    else:
+        assert write_json(document) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [0.0]}, {1, 2}, b"x", {1: "x"}, {"a": {None: 1}}, [(1, 2), {"a", "b"}]],
+    ids=["float", "nested_float", "set", "bytes", "int_key", "none_key", "nested_set"],
+)
+def test_the_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        write_json(value)
 
 
 @pytest.mark.parametrize("argv", [("invariants", SEXTIC), ("field", "--invariants", "1,1")])
