@@ -140,6 +140,8 @@ def _human_lines(value, indent=0):
     """A dict as "key: value" lines and a list or tuple as "- item" lines, nesting indented.
 
     A QuadExt nests as its a/b/d mapping; a string with a line break is written as its JSON literal.
+    An item that is a container starts on its "- " line, with its other lines two spaces deeper
+    than the dash; an empty one is a bare "-".
     """
     pad = "  " * indent
     for key, inner in value.items() if isinstance(value, dict) else ((None, inner) for inner in value):
@@ -148,7 +150,13 @@ def _human_lines(value, indent=0):
         if isinstance(inner, (dict, list, tuple)):
             if key is not None:
                 yield f"{pad}{key}:"
-            yield from _human_lines(inner, indent + 1)
+                yield from _human_lines(inner, indent + 1)
+            elif not inner:
+                yield f"{pad}-"
+            else:
+                lines = _human_lines(inner, indent + 1)
+                yield f"{pad}- {next(lines)[len(pad) + 2:]}"
+                yield from lines
         else:
             if isinstance(inner, str) and inner and inner.splitlines() != [inner]:
                 inner = encode_basestring_ascii(inner)
@@ -310,7 +318,7 @@ def _cmd_classify(inputs: dict) -> dict:
     n, f = parse_equation(inputs["equation"])
     curve = validate(n, f)
     nf = classify_normal_form(curve, inputs["delta"])
-    invariants_supported = nf.kind == G_DELTA and (nf.s or 0) >= 2
+    invariants_supported = nf.kind == G_DELTA and nf.s >= 2
     doc = {
         "n": curve.n,
         "d": curve.d,

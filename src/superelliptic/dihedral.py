@@ -475,7 +475,7 @@ def invariants_for_curve(curve: SuperellipticCurve, delta: int | None = None):
     """
     nf = classify_normal_form(curve, delta)
     if nf.kind is None:
-        raise NoExtraAutomorphismError(nf.diagnostic or "no extra automorphism detected")
+        raise NoExtraAutomorphismError(nf.diagnostic)
     if nf.kind != G_DELTA:
         raise UnsupportedFormError(
             "invariants are defined for the g(x^delta) form only; "

@@ -4,7 +4,7 @@ Coefficients live in whatever exact field the caller supplies: Fraction for
 most of the library, :class:`~superelliptic.exact.QuadExt` for reconstructed
 equations.  The only requirements are exact +, -, * and an honest
 ``__eq__`` against 0; an int becomes a Fraction and a float raises
-TypeError.  ``Poly`` holds coefficients and offers the ring operations;
+TypeError.  ``Poly`` holds coefficients and offers ``+`` and ``*``;
 :func:`~superelliptic.equations.render_polynomial` writes it out.
 
 Discriminants are exact over Q by the integer subresultant PRS of f and
@@ -100,14 +100,6 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         return Poly([a[i] + b[i] if i < len(b) else a[i] for i in range(len(a))])
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -296,17 +288,6 @@ def delta_support(p: Poly) -> tuple[DeltaSupport, ...]:
     out = []
     for r in (0,) if support[0] == 0 else (0, 1):
         g = math.gcd(*(e - r for e in support))
-        out += [DeltaSupport(delta, r, (d - r) // delta - 1 + r) for delta in _divisors(g) if delta >= 2]
+        out += [DeltaSupport(delta, r, (d - r) // delta - 1 + r) for delta in range(2, g + 1) if g % delta == 0]
     out.sort(key=lambda c: (-c.delta, c.residue))
     return tuple(out)
-
-
-def _divisors(n: int) -> list[int]:
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superelliptic
-from superelliptic.cli import MAX_RANDOM, _build_parser, _write_json, main
+from superelliptic.cli import MAX_RANDOM, _build_parser, _render, _write_json, main
 from superelliptic.equations import MAX_DEGREE
 from superelliptic.exact import QuadExt
+from test_cli_golden import CASES, run_case
 
 SEXTIC = "y^2 = x^6 + x^4 + 2x^2 + 1"
 
@@ -630,6 +631,124 @@ def test_plain_listing_writes_a_string_with_a_line_break_as_its_json_literal(cap
     # the JSON document echoes the text as it was given
     _, doc, _ = run_json(capsys, "classify", equation)
     assert doc["inputs"]["equation"] == equation
+
+
+KEY_LINE = re.compile(r"([a-z_0-9]+):(?: (.*))?")
+
+
+def read_listing(text: str):
+    """The nested dicts and lists that a ``--no-json`` listing writes out.
+
+    Each scalar stays the text the listing shows, and each empty container
+    (a bare ``key:`` or ``-``) reads as ().  A line is held as [column, text];
+    an item ``- X`` at column c is read by rewriting it in place as X at c + 2.
+    """
+    lines = [[len(line) - len(line.lstrip(" ")), line.lstrip(" ")] for line in text.split("\n")[:-1]]
+    pos = 0
+
+    def is_item(text):
+        return text == "-" or text.startswith("- ")
+
+    def value_at(col):
+        nonlocal pos
+        text = lines[pos][1]
+        if is_item(text):
+            out = []
+            while pos < len(lines) and lines[pos][0] == col and is_item(lines[pos][1]):
+                if lines[pos][1] == "-":
+                    out.append(())
+                    pos += 1
+                else:
+                    lines[pos] = [col + 2, lines[pos][1][2:]]
+                    out.append(value_at(col + 2))
+            return out
+        if not KEY_LINE.fullmatch(text):
+            pos += 1
+            return text
+        out = {}
+        while pos < len(lines) and lines[pos][0] == col and (match := KEY_LINE.fullmatch(lines[pos][1])):
+            key, scalar = match.groups()
+            assert key not in out, key
+            pos += 1
+            if scalar is not None:
+                out[key] = scalar
+            elif pos < len(lines) and lines[pos][0] > col:
+                out[key] = value_at(lines[pos][0])
+            else:
+                out[key] = ()
+        return out
+
+    doc = value_at(0)
+    assert pos == len(lines), lines[pos:]
+    return doc
+
+
+def as_listed(value):
+    """A parsed JSON document as ``read_listing`` reads its listing: scalars as the listing writes them."""
+    if isinstance(value, (dict, list)) and not value:
+        return ()
+    if isinstance(value, dict):
+        return {key: as_listed(inner) for key, inner in value.items()}
+    if isinstance(value, list):
+        return [as_listed(inner) for inner in value]
+    if isinstance(value, str) and value.splitlines() != [value] and value:
+        return json.dumps(value)
+    return str(value)
+
+
+LISTED_CASES = {
+    **{name: case for name, case in CASES.items() if "--no-json" in case[0]},
+    "classify_violations_text": (["classify", "y^7 = x^6 + 2*x^3 + 1", "--no-json"], None),
+    "reconstruct_three_entries_text": (["reconstruct", "--invariants", "1,1,3", "--no-json"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_CASES))
+def test_the_listing_reads_back_as_the_json_document(name):
+    argv, stdin = LISTED_CASES[name]
+    listed = run_case(argv, stdin)
+    documented = run_case([arg for arg in argv if arg != "--no-json"], stdin)
+    assert listed["exit"] == documented["exit"]
+    doc = json.loads(documented["stdout"] or documented["stderr"])
+    assert read_listing(listed["stdout"] or listed["stderr"]) == as_listed(doc)
+
+
+def test_a_listed_item_that_is_a_container_starts_on_its_dash_line(capsys):
+    code, out, _ = run(capsys, "classify", "y^7 = x^6 + 2*x^3 + 1", "--no-json")
+    assert code == 1
+    assert out.split("  violations:\n")[1] == (
+        "    - code: degree_not_above_n\n"
+        "      message: deg f = 6 must exceed n = 7\n"
+        "    - code: zero_discriminant\n"
+        "      message: f has a repeated root (discriminant 0)\n"
+    )
+    code, out, _ = run(capsys, "reconstruct", "--invariants", "1,1,3", "--no-json")
+    assert code == 0
+    assert out.split("interior_coefficients:\n")[1].split("equation:")[0] == (
+        "  - a: 3/2\n"
+        "    b: 0\n"
+        "    d: -77\n"
+        "  - a: 1/2\n"
+        "    b: -1/22\n"
+        "    d: -77\n"
+    )
+
+
+def test_a_rendered_list_of_dicts_reads_back_as_its_document():
+    body = {
+        "failures": [
+            {"index": 3, "a": ["-1/2", "3"], "reason": "two\nlines"},
+            {"index": 7, "a": [Fraction(-2), QuadExt(1, -1, 5)], "reason": None},
+            {"a": [[], {}, [[1, [2]]]], "index": 9},
+            [],
+            {},
+        ],
+        "passed": 0,
+    }
+    listed = _render("roundtrip", body, as_json=False)
+    assert "  - index: 3\n    a:\n      - -1/2\n" in listed
+    assert "  -\n  -\n" in listed
+    assert read_listing(listed) == as_listed(json.loads(_render("roundtrip", body, as_json=True)))
 
 
 def write_json(value) -> str:
