@@ -18,6 +18,7 @@ every operation is exact and every value is immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,19 +167,6 @@ class SquarefreeDecomposition:
         return self.squarefree_part * self.square_part**2
 
 
-def _odd_sieve(hi: int) -> bytearray:
-    """Flags of the odd numbers 1, 3, 5, ... below hi: 1 marks a prime."""
-    size = hi // 2
-    flags = bytearray(b"\x01") * size
-    flags[0] = 0  # 1 is not a prime
-    for i in range(1, (math.isqrt(hi - 1) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2  # index of p*p; then every p-th index is the next odd multiple
-            flags[start::p] = bytes(len(range(start, size, p)))
-    return flags
-
-
 def _tree_product(values: list[int]) -> int:
     """The product of ``values``: runs of 32, then a balanced tree, so operands of similar length meet."""
     # math.prod over short runs of small values beats tree levels made of one-word products:
@@ -193,23 +181,20 @@ def _tree_product(values: list[int]) -> int:
 #: Segment k holds the primes in [_EDGES[k], _EDGES[k + 1]); see squarefree_decompose.
 _EDGES = (0, 4096, 8192, 16384, 32768, *range(65536, DEFAULT_FACTOR_BOUND - 65536, 65536), DEFAULT_FACTOR_BOUND + 1)
 
-#: Segment products built so far, extended on demand.
-#: A tuple swapped in whole, so a concurrent reader always sees a valid prefix.
-_kept_segments: tuple[int, ...] = ()
 
-
+@functools.cache
 def _segment_product(k: int) -> int:
-    """Segment k's product; a missing segment doubles the kept prefix."""
-    global _kept_segments
-    kept = _kept_segments
-    if k >= len(kept):
-        edges = _EDGES[len(kept) : min(max(k + 1, 2 * len(kept)), len(_EDGES) - 1) + 1]
-        flags = memoryview(_odd_sieve(edges[-1]))
-        kept = _kept_segments = kept + tuple(
-            (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags[lo // 2 :])))
-            for lo, hi in zip(edges, edges[1:])
-        )
-    return kept[k]
+    """The product of the primes in segment k, from a sieve of its own range alone."""
+    lo, hi = _EDGES[k], _EDGES[k + 1]
+    # flags[i] stands for the odd number lo + 2*i + 1 (lo is even: only the last edge is odd);
+    # 1 keeps its flag in segment 0, where as a factor it changes nothing
+    size = (hi - lo) // 2
+    flags = bytearray(b"\x01") * size
+    for m in range(3, math.isqrt(hi - 1) + 1, 2):
+        if m < 9 or m % 3 and m % 5 and m % 7:  # skips m >= 9 with a factor 3, 5 or 7, which crosses out nothing new
+            start = max(m * m - lo, (m - lo) % (2 * m)) // 2  # the first odd multiple of m from lo and m*m on
+            flags[start::m] = bytes((size - 1 - start) // m + 1)
+    return (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags)))
 
 
 def _fold(p: int, n: int, powers: list[int]) -> int:
@@ -250,10 +235,9 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     starts above the square root of what is left.  It also stops after
     segment 0, or after a segment that divided something out, when what is
     left lies below ``_PSI13`` (~81 bits) and passes the 13-base
-    Miller-Rabin test, which there proves it prime.  The segment products
-    (~180 KB in all) are built on first use and kept, nothing at import:
-    when a segment is missing the kept prefix doubles (1, 2, 4, 8, 16, then
-    all 19 segments), and each extension sieves once from 0 to its end.
+    Miller-Rabin test, which there proves it prime.  Each segment's product
+    is built on its first use, from a sieve of the segment's own range, and
+    kept (~180 KB for all 19); nothing is built at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base
@@ -288,33 +272,28 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
                 root *= g
             g = deeper
             odd = not odd
-        if reach * reach > n:
-            break
-        if divided and n < _PSI13 and _is_probable_prime(n):
-            # below _PSI13 the test proves n prime, and the rest of the walk would only multiply it in
+        # n is 1 or a prime if it is below reach**2 (it has no prime factor below reach), or if it passes
+        # the test below _PSI13, which proves it prime there: the rest of the walk would only multiply it in
+        if reach * reach > n or (divided and n < _PSI13 and _is_probable_prime(n)):
             squarefree *= n
-            n = 1
             break
-    if n > 1:
-        if reach * reach > n:
-            squarefree *= n  # no prime factor below reach and below reach**2: prime
+    else:  # every segment read, and n is at least reach**2
+        s = math.isqrt(n)
+        if s * s == n and s.bit_length() <= MAX_COFACTOR_BITS and _is_probable_prime(s):
+            root *= s
+        elif n.bit_length() > MAX_COFACTOR_BITS:
+            raise FactorBoundExceededError(
+                f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} and is "
+                f"longer than the {MAX_COFACTOR_BITS}-bit limit of the primality test"
+            )
+        elif _is_probable_prime(n):
+            squarefree *= n
         else:
-            s = math.isqrt(n)
-            if s * s == n and s.bit_length() <= MAX_COFACTOR_BITS and _is_probable_prime(s):
-                root *= s
-            elif n.bit_length() > MAX_COFACTOR_BITS:
-                raise FactorBoundExceededError(
-                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} and is "
-                    f"longer than the {MAX_COFACTOR_BITS}-bit limit of the primality test"
-                )
-            elif _is_probable_prime(n):
-                squarefree *= n
-            else:
-                # described by size: str() of a cofactor over 4300 digits raises ValueError
-                raise FactorBoundExceededError(
-                    f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} "
-                    "and is neither prime nor a prime square"
-                )
+            # described by size: str() of a cofactor over 4300 digits raises ValueError
+            raise FactorBoundExceededError(
+                f"a {n.bit_length()}-bit cofactor has no factor <= {DEFAULT_FACTOR_BOUND} "
+                "and is neither prime nor a prime square"
+            )
     return SquarefreeDecomposition(sign * squarefree, Fraction(root, x.denominator))
 
 

@@ -237,16 +237,16 @@ def env_with_src():
 
 def test_small_radicand_builds_only_the_first_prime_window():
     # a fresh interpreter: the import builds no segment product, and a radicand below 4096**2 builds segment 0 only;
-    # 3 * 4099 * 4111 has no prime below 4096 and stops after segment 1, which doubles the kept prefix to 2, not to 19
+    # 3 * 4099 * 4111 has no prime below 4096 and stops after segment 1, which builds segment 1 alone, not all 19
     code = (
         "import tracemalloc\n"
         "from superelliptic import exact\n"
-        "print(len(exact._kept_segments))\n"
+        "print(exact._segment_product.cache_info().currsize)\n"
         "tracemalloc.start()\n"
         "exact.squarefree_decompose(4 * (10**6 + 3))\n"
-        "print(tracemalloc.get_traced_memory()[1], len(exact._kept_segments))\n"
+        "print(tracemalloc.get_traced_memory()[1], exact._segment_product.cache_info().currsize)\n"
         "exact.squarefree_decompose(3 * 4099 * 4111)\n"
-        "print(len(exact._kept_segments))\n"
+        "print(exact._segment_product.cache_info().currsize)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
@@ -303,6 +303,15 @@ def test_no_early_exit_at_psi13(monkeypatch):
     # the full walk ran; accepting PSI13 as a prime is right here only because it is squarefree
     assert segments == list(range(19))
     assert result == SquarefreeDecomposition(3 * PSI13, Fraction(1))
+
+
+def test_primality_test_agrees_with_sympy_below_and_at_its_bases():
+    # callers pass only cofactors with no prime below 4096, so the returns for n < 2 and for a multiple
+    # of a base run here alone; without them Miller-Rabin to base a = n would reject each base prime.
+    # The range holds each base, each base squared and each product of two bases (all below 41**2).
+    assert max(exact._BASES) == 41
+    for n in range(-5, 20_000):
+        assert exact._is_probable_prime(n) == sympy.isprime(n), n
 
 
 def test_cofactor_length_limit():
@@ -548,6 +557,9 @@ def test_quadext_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
+    assert -x == 0 - x and x + (-x) == 0
+    # equal elements built apart hash equal, irrational ones included
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
 
 
 @settings(max_examples=1000, deadline=None)
