@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -180,11 +181,13 @@ def _tree_product(values: list[int]) -> int:
 
 #: Segment k holds the primes in [_EDGES[k], _EDGES[k + 1]); see squarefree_decompose.
 _EDGES = (0, 4096, 8192, 16384, 32768, *range(65536, DEFAULT_FACTOR_BOUND - 65536, 65536), DEFAULT_FACTOR_BOUND + 1)
+#: Width in bits of the chunks a segment product is kept in; see squarefree_decompose.
+_CHUNK_BITS = 6144
 
 
 @functools.cache
-def _segment_product(k: int) -> int:
-    """The product of the primes in segment k, from a sieve of its own range alone."""
+def _segment_chunks(k: int) -> tuple[int, ...]:
+    """The product of the primes in segment k, sieved from its own range alone, in _CHUNK_BITS-bit chunks, low first."""
     lo, hi = _EDGES[k], _EDGES[k + 1]
     # flags[i] stands for the odd number lo + 2*i + 1 (lo is even: only the last edge is odd);
     # 1 keeps its flag in segment 0, where as a factor it changes nothing
@@ -194,29 +197,24 @@ def _segment_product(k: int) -> int:
         if m < 9 or m % 3 and m % 5 and m % 7:  # skips m >= 9 with a factor 3, 5 or 7, which crosses out nothing new
             start = max(m * m - lo, (m - lo) % (2 * m)) // 2  # the first odd multiple of m from lo and m*m on
             flags[start::m] = bytes((size - 1 - start) // m + 1)
-    return (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags)))
+    product = (2 if lo == 0 else 1) * _tree_product(list(compress(range(lo + 1, hi, 2), flags)))
+    return tuple(product >> i & (1 << _CHUNK_BITS) - 1 for i in range(0, product.bit_length(), _CHUNK_BITS))
 
 
-def _fold(p: int, n: int, powers: list[int]) -> int:
-    """p reduced mod n by multiplications alone: a nonnegative number congruent to p mod n.
+def _residue(chunks: tuple[int, ...], n: int, powers: list[int]) -> int:
+    """A nonnegative number congruent mod n to the product cut into ``chunks``, so with the same gcd with n.
 
-    While p is longer than 2*len(n) + 8192 bits, a step writes p = h*2**k + low,
-    with k the largest power of two below p's length, as h*(2**k mod n) + low.
-    ``powers[j]`` holds 2**(2**j) mod n for this n only: start it as [2]
-    (n > 2: a walk folds from segment 2 on, which it reaches only with
-    n >= 8192**2), and it grows by squaring on need.  The stop keeps k above
-    len(n) + 4096, so every step shrinks p: with a stop of len(n) + 4096 a
-    10-kbit n folds forever, and with a fixed 4096 segment 0 (~5.9 kbit) would
-    be folded for nothing.
+    A product no longer than 2*len(n) + 8192 bits is given whole, a longer one as sum(c_i * (2**(W*i) mod n))
+    with W = ``_CHUNK_BITS``: at most len(n) + W + 5 bits for its up to 20 chunks.  ``powers[i]`` holds
+    2**(W*i) mod n for this n only: start it as [1]; it grows by one multiplication mod n per new index.
     """
-    stop = 2 * n.bit_length() + 8192
-    while (length := p.bit_length()) > stop:
-        j = (length - 1).bit_length() - 1
-        while len(powers) <= j:
-            powers.append(powers[-1] ** 2 % n)
-        k = 1 << j
-        p = (p >> k) * powers[j] + (p & ((1 << k) - 1))
-    return p
+    if _CHUNK_BITS * (len(chunks) - 1) + chunks[-1].bit_length() <= 2 * n.bit_length() + 8192:
+        return functools.reduce(lambda high, low: high << _CHUNK_BITS | low, reversed(chunks))
+    while len(powers) < len(chunks):
+        # times 2**W mod n for an n shorter than a chunk; a shift by W bits costs less for a longer n (and gives 2**W)
+        short = len(powers) > 1 and n.bit_length() <= _CHUNK_BITS
+        powers.append((powers[-1] * powers[1] if short else powers[-1] << _CHUNK_BITS) % n)
+    return sum(map(operator.mul, chunks, powers))
 
 
 def squarefree_decompose(x) -> SquarefreeDecomposition:
@@ -227,17 +225,18 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     in width up to 65536, then ranges 65536 wide, the last one taking the
     tail up to the bound.  One gcd of what is left against the product of a
     segment's primes finds all of them that divide it, and a chain of gcds
-    then reads off their exponents.  A product longer than twice what is
-    left plus 8192 bits is first folded to a number congruent to it mod what
-    is left, by multiplications alone (:func:`_fold`), which gives the same
-    gcd at about half the cost of reducing it by long division; segments 0
-    and 1 are never that long.  The walk stops early once the next segment
-    starts above the square root of what is left.  It also stops after
-    segment 0, or after a segment that divided something out, when what is
-    left lies below ``_PSI13`` (~81 bits) and passes the 13-base
-    Miller-Rabin test, which there proves it prime.  Each segment's product
-    is built on its first use, from a sieve of the segment's own range, and
-    kept (~180 KB for all 19); nothing is built at import.
+    then reads off their exponents.  Each product is kept as 6144-bit
+    chunks; one longer than twice what is left plus 8192 bits is first
+    reduced to a number congruent to it mod what is left by one
+    multiply-accumulate (:func:`_residue`), which gives the same gcd at a
+    fraction of the cost of long division; segments 0 and 1 are never that
+    long.  The walk stops early once the next segment starts above the
+    square root of what is left.  It also stops after segment 0, or after a
+    segment that divided something out, when what is left lies below
+    ``_PSI13`` (~81 bits) and passes the 13-base Miller-Rabin test, which
+    there proves it prime.  Each segment's chunks are built on first use,
+    from a sieve of the segment's own range, and kept (~200 KB for all 19);
+    nothing is built at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base
@@ -255,16 +254,16 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     sign = -1 if x < 0 else 1
     squarefree = 1
     root = 1
-    powers = [2]  # 2**(2**j) mod n for _fold; they start over whenever n changes
+    powers = [1]  # 2**(_CHUNK_BITS*i) mod n for _residue; they start over whenever n changes
     for k, reach in enumerate(_EDGES[1:]):  # every prime below reach is divided out after segment k
-        product = _fold(_segment_product(k), n, powers)
+        product = _residue(_segment_chunks(k), n, powers)
         # g holds the primes of the segment with exponent >= j in n, for j = 1, 2, ...
         g = math.gcd(n, product)
         divided = k == 0 or g > 1  # segment 0 counts as dividing: the first chance to stop
         odd = True
         while g > 1:
             n //= g
-            powers = [2]
+            powers = [1]
             deeper = math.gcd(n, g)
             if odd:
                 squarefree *= g // deeper  # exponent exactly j, j odd

@@ -236,17 +236,17 @@ def env_with_src():
 
 
 def test_small_radicand_builds_only_the_first_prime_window():
-    # a fresh interpreter: the import builds no segment product, and a radicand below 4096**2 builds segment 0 only;
+    # a fresh interpreter: the import builds no segment, and a radicand below 4096**2 builds segment 0 only;
     # 3 * 4099 * 4111 has no prime below 4096 and stops after segment 1, which builds segment 1 alone, not all 19
     code = (
         "import tracemalloc\n"
         "from superelliptic import exact\n"
-        "print(exact._segment_product.cache_info().currsize)\n"
+        "print(exact._segment_chunks.cache_info().currsize)\n"
         "tracemalloc.start()\n"
         "exact.squarefree_decompose(4 * (10**6 + 3))\n"
-        "print(tracemalloc.get_traced_memory()[1], exact._segment_product.cache_info().currsize)\n"
+        "print(tracemalloc.get_traced_memory()[1], exact._segment_chunks.cache_info().currsize)\n"
         "exact.squarefree_decompose(3 * 4099 * 4111)\n"
-        "print(exact._segment_product.cache_info().currsize)\n"
+        "print(exact._segment_chunks.cache_info().currsize)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=30)
     assert done.returncode == 0, done.stderr
@@ -257,25 +257,27 @@ def test_small_radicand_builds_only_the_first_prime_window():
 
 @pytest.mark.parametrize("touched_first", [0, 18], ids=["ascending", "last_segment_first"])
 def test_segment_products_match_sympy_primes(touched_first):
-    # a fresh interpreter, so the table is built from empty in the given access order
+    # a fresh interpreter, so the table is built from empty in the given access order; one line of chunks per segment
     code = (
         "from superelliptic import exact\n"
-        f"exact._segment_product({touched_first})\n"
-        "print(*(hex(exact._segment_product(k)) for k in range(len(exact._EDGES) - 1)))\n"
+        f"exact._segment_chunks({touched_first})\n"
+        "for k in range(len(exact._EDGES) - 1):\n"
+        "    print(*(hex(chunk) for chunk in exact._segment_chunks(k)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with_src(), timeout=60)
     assert done.returncode == 0, done.stderr
-    products = [int(word, 16) for word in done.stdout.split()]
+    chunks = [[int(word, 16) for word in line.split()] for line in done.stdout.splitlines()]
     expected = [math.prod(sympy.primerange(lo, hi)) for lo, hi in zip(SEGMENT_EDGES, SEGMENT_EDGES[1:])]
-    assert len(products) == len(expected) == 19
-    assert [k for k, (got, want) in enumerate(zip(products, expected)) if got != want] == []
+    assert len(chunks) == len(expected) == 19
+    assert [k for k, segment in enumerate(chunks) if not all(0 <= c < 2**exact._CHUNK_BITS for c in segment)] == []
+    assert [k for k, (segment, want) in enumerate(zip(chunks, expected)) if joined(segment) != want] == []
 
 
 def reads(monkeypatch, x):
     """(result or refusal, segments read) of squarefree_decompose(x)."""
     segments = []
-    kept = exact._segment_product
-    monkeypatch.setattr(exact, "_segment_product", lambda k: segments.append(k) or kept(k))
+    kept = exact._segment_chunks
+    monkeypatch.setattr(exact, "_segment_chunks", lambda k: segments.append(k) or kept(k))
     try:
         result = squarefree_decompose(x)
     except FactorBoundExceededError as exc:
@@ -330,38 +332,47 @@ def test_factor_bound_error_on_a_cofactor_too_long_to_print():
         squarefree_decompose((10**6 + 3) ** 1000)
 
 
-class CountedPowers(list):
-    """A ``powers`` list for ``exact._fold`` that counts its reads: one per fold step, one per extension."""
-
-    reads = 0
-
-    def __getitem__(self, j):
-        self.reads += 1
-        if self.reads > 200:
-            raise AssertionError("the fold stopped shrinking")
-        return super().__getitem__(j)
+def joined(chunks):
+    """The number whose little-endian ``exact._CHUNK_BITS``-bit chunks are ``chunks``."""
+    return sum(chunk << exact._CHUNK_BITS * i for i, chunk in enumerate(chunks))
 
 
-_fold = exact._fold  # the package's own, for folded() while a test patches folded() in
+def cut(p):
+    """p as its little-endian ``exact._CHUNK_BITS``-bit chunks, the form a segment product is kept in."""
+    width = exact._CHUNK_BITS
+    return tuple(p >> i & (1 << width) - 1 for i in range(0, max(p.bit_length(), 1), width))
 
 
-def folded(p, n, powers):
-    """exact._fold(p, n, powers), checked: nonnegative, congruent to p mod n, within the stop length, in few steps.
+def segment_product(k):
+    """The product of the primes in segment k, from its kept chunks."""
+    return joined(exact._segment_chunks(k))
 
-    ``powers`` must hold 2**(2**j) mod this very n; residues of an earlier, larger n are still congruences
-    mod its divisor n, but they can be longer than a fold step saves, and the loop need not end.
+
+_residue = exact._residue  # the package's own, for residue() while a test patches residue() in
+
+
+def residue(chunks, n, powers):
+    """exact._residue(chunks, n, powers), checked: nonnegative, congruent mod n, short, powers for this very n.
+
+    The product is given whole when it is no longer than 2*len(n) + 8192 bits; otherwise the result is at most
+    len(n) + W + bit_length(len(chunks)) bits, and ``powers`` grows to one entry per chunk if it was shorter.
+    ``powers`` must hold 2**(W*i) mod this very n; powers mod an earlier, larger n are still congruent mod its
+    divisor n, but they are as long as that n, and so is the result.
     """
-    assert powers == [pow(2, 2**j, n) for j in range(len(powers))]
-    counted = CountedPowers(powers)
-    result = _fold(p, n, counted)
+    width = exact._CHUNK_BITS
+    assert powers == [pow(2, width * i, n) for i in range(len(powers))]
+    before = len(powers)
+    result = _residue(chunks, n, powers)
+    product = joined(chunks)
     assert result >= 0
-    assert (result - p) % n == 0
-    assert result.bit_length() <= max(p.bit_length(), 2 * n.bit_length() + 8192)
-    # each fold step at least halves the length over the stop, or follows one that left a single top bit
-    steps = counted.reads - (len(counted) - len(powers))
-    assert steps <= 2 * p.bit_length().bit_length()
-    assert counted == [pow(2, 2**j, n) for j in range(len(counted))]
-    powers[:] = counted
+    assert (result - product) % n == 0
+    if product.bit_length() <= 2 * n.bit_length() + 8192:
+        assert result == product
+        assert len(powers) == before
+    else:
+        assert result.bit_length() <= n.bit_length() + width + len(chunks).bit_length()
+        assert len(powers) == max(before, len(chunks))
+    assert powers == [pow(2, width * i, n) for i in range(len(powers))]
     return result
 
 
@@ -380,33 +391,37 @@ def test_fold_is_a_short_nonnegative_residue(n_bits, p_sizes, multiple, rng):
     # one powers list shared by several products, as the segments of one walk share it; a negative
     # size stands for a segment product, and `multiple` makes each product a multiple of n
     n = rng.getrandbits(n_bits) | 1 << (n_bits - 1)
-    powers = [2]
+    powers = [1]
     for size in p_sizes:
-        p = exact._segment_product(-size - 1) if size < 0 else rng.getrandbits(size)
+        p = segment_product(-size - 1) if size < 0 else rng.getrandbits(size)
         if multiple:
             p -= p % n
-        result = folded(p, n, powers)
+        result = residue(cut(p), n, powers)
         if multiple:
             assert result % n == 0
-        if p.bit_length() <= 2 * n_bits + 8192:
-            assert result == p
 
 
 @pytest.mark.parametrize("n_bits", [10_000, 10_240, 12_000, 16_384, 20_000, 30_000, 40_000, 60_000])
 def test_fold_ends_for_cofactors_of_10_to_60_kbit(n_bits):
-    # with a stop of len(n) + 4096 a fold step here can lengthen p again, and the loop never ends
+    # every segment, and products of every length up to a little past the longest, each with a fresh powers list
+    # and with one shared by the whole walk, for n longer than a chunk, where powers grow by shifts
     rng = random.Random(n_bits)
-    longest = exact._segment_product(len(exact._EDGES) - 2)
+    longest = segment_product(len(exact._EDGES) - 2)
     for n in (rng.getrandbits(n_bits) | 1 << (n_bits - 1) | 1, 2**n_bits - 1, 2 ** (n_bits - 1) + 1):
+        shared = [1]
+        for k in range(len(exact._EDGES) - 1):
+            residue(exact._segment_chunks(k), n, shared)
         for p in (longest, 2**LONGEST_PRODUCT_BITS - 1, 2**65_536, 2**65_537 - 1, n * rng.getrandbits(50_000)):
-            assert folded(p, n, [2]).bit_length() <= 2 * n_bits + 8192
+            result = residue(cut(p), n, [1])
+            assert result.bit_length() <= 2 * n_bits + 8192
+            assert result == residue(cut(p), n, shared)
 
 
 def plain_gcd_walk(x):
-    """squarefree_decompose as it was before the fold: one plain gcd of the cofactor against each segment product.
+    """squarefree_decompose with no reduction: one plain gcd of the cofactor against each segment product.
 
-    The oracle for the folded walk: it takes the same gcds, so it must give the same decomposition or the
-    same refusal.
+    The oracle for the walk that reduces each product mod the cofactor first: it takes the same gcds, so it
+    must give the same decomposition or the same refusal.
     """
     x = Fraction(x)
     n = abs(x.numerator) * x.denominator
@@ -414,7 +429,7 @@ def plain_gcd_walk(x):
     squarefree = 1
     root = 1
     for k, reach in enumerate(exact._EDGES[1:]):
-        g = math.gcd(n, exact._segment_product(k))
+        g = math.gcd(n, segment_product(k))
         divided = k == 0 or g > 1
         odd = True
         while g > 1:
@@ -470,7 +485,7 @@ def prime_above(rng, bits):
 def rough(rng, bits):
     """A random odd number of ``bits`` bits with no prime factor below 4096, nor a square root."""
     n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-    while math.gcd(n, exact._segment_product(0)) > 1 or math.isqrt(n) ** 2 == n:
+    while math.gcd(n, segment_product(0)) > 1 or math.isqrt(n) ** 2 == n:
         n += 2
     return n
 
@@ -483,7 +498,7 @@ def oracle_radicands():
     for _ in range(60):
         yield "at most 30 bits", Fraction(rng.randint(1, 2**30) * rng.choice([1, -1]), rng.randint(1, 2**15))
         yield "segment 0 only", Fraction(small() * rng.randint(1, 4095**2), rng.randint(1, 4095))
-        # the shortest cofactors that reach segments 2 and 3, the first long enough to fold
+        # the shortest cofactors that reach segments 2 and 3, the first long enough to be reduced
         p, q = sympy.nextprime(rng.randint(8192, 32_700)), sympy.nextprime(rng.randint(8192, 32_700))
         yield "27-30 bits, primes above 8192", Fraction(small() * p * q, rng.randint(1, 50))
     for bits in range(40, 601, 20):
@@ -498,14 +513,14 @@ def oracle_radicands():
         yield "prime square over MAX_COFACTOR_BITS", Fraction(3 * prime_above(rng, bits) ** 2)
     for bits in (2100, 2600, 4000, 12_000, 40_000):
         yield "over MAX_COFACTOR_BITS", Fraction(segment_primes() * rough(rng, bits))
-    # n falls from ~10 kbit to ~100 bits in segment 5, so the residues kept for folding must start over
+    # n falls from ~10 kbit to ~100 bits in segment 5, so the powers kept for reducing must start over
     high_power = sympy.nextprime(65536) ** 600
     yield "high power of a segment prime", Fraction(high_power * prime_above(rng, 50) * prime_above(rng, 50))
     yield "as long as the products", Fraction(rough(rng, 95_000))
 
 
 def test_folded_walk_decides_as_the_plain_gcd_walk(monkeypatch):
-    monkeypatch.setattr(exact, "_fold", folded)  # every fold checked, on residues of the n it folds by
+    monkeypatch.setattr(exact, "_residue", residue)  # every reduction checked, on powers of the n it reduces by
     seen = Counter()
     for kind, x in oracle_radicands():
         expected = outcome(plain_gcd_walk, x)
