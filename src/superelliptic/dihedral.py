@@ -19,8 +19,8 @@ which field the rebuilt normal form needs: a rational square means the
 normal form lives over the field of moduli F itself; a non-square means it
 needs the quadratic extension F(sqrt(d)), which does not prove that no other
 model exists over F (descending to F is ROADMAP.md item 2); zero marks the
-degenerate family with a larger automorphism group, where this
-reconstruction does not apply.  Each tuple makes that decision once:
+degenerate locus, where the two roots coincide and this reconstruction does
+not apply (what the curves there have in common is ROADMAP.md item 3).  Each tuple makes that decision once:
 ``DihedralInvariants.field_report`` runs the discriminant, its square test
 and its squarefree decomposition on first use, and ``field_of_definition``,
 the roots, reconstruction and the CLI all read that one report.
@@ -87,7 +87,7 @@ class UnsupportedFormError(ValueError):
 
 
 class DegenerateLocusError(ValueError):
-    """The invariants satisfy discriminant = 0: the enlarged-automorphism family."""
+    """The invariants satisfy discriminant = 0: the two roots coincide, and reconstruction does not apply."""
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ of more than 4300 digits (or of more than the interpreter's integer
 conversion limit, when that is lower), is refused with
 :class:`InputTooLargeError` before any polynomial is built.
 
-One reader: a regex for the head ``y^N =``, then a regex for each term.
-Every piece of both is optional, so where a match leaves the grammar shows
-what went wrong, and the reader raises there with the position of the
-problem.  A character outside the grammar anywhere in the text is reported
-first.  Examples:
+One reader.  It first refuses the first character outside the grammar,
+wherever it is in the text; then a regex for the head ``y^N =``, then a
+regex for each term.  Every piece of both is optional, so where a match
+leaves the grammar shows what went wrong, and the reader raises there with
+the position of the problem.  Examples:
 
     >>> render_equation(*parse_equation("y^2 = x^6 + 2x^4 + 3x^2 + 1"))
     'y^2 = 1*x^6 + 2*x^4 + 3*x^2 + 1'
@@ -85,39 +85,30 @@ _TERM = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:(/\s*)([0-9]+)?\s*)?(\*\s*)?)?(?
 _STRAY = re.compile(r"[^\s0-9xy^=+*/-]")
 
 
-def _fail(text: str, message: str, position: int, error=EquationSyntaxError):
-    """Raise ``error``, unless ``text`` holds a stray character: the first of those wins anywhere."""
-    stray = _STRAY.search(text)
-    if stray:
-        raise EquationSyntaxError(f"unexpected character {stray[0]!r}", stray.start())
-    raise error(message, position)
-
-
-def _fail_long(text: str, match, group: int, limit: int):
-    """Refuse the numeral in ``group`` of ``match``, which has more than ``limit`` digits."""
-    _fail(text, f"a numeral has more than {limit} digits", match.start(group), InputTooLargeError)
-
-
 def parse_equation(text: str):
     """Parse ``y^N = POLY`` into (n, Poly); repeated exponents are summed.
 
-    The head regex, then the term regex once per term.  The checks run on
-    the groups of each match in the order of the grammar, each before the
-    int() or the polynomial it guards, and raise where the problem starts.
+    One search for a stray character, then the head regex, then the term
+    regex once per term.  The checks run on the groups of each match in the
+    order of the grammar, each before the int() or the polynomial it guards,
+    and raise where the problem starts.
     """
+    stray = _STRAY.search(text)
+    if stray:
+        raise EquationSyntaxError(f"unexpected character {stray[0]!r}", stray.start())
     limit = _digit_limit()
     head = _HEAD.match(text)
     if head[3] is None:
         message = ("expected the exponent N" if head[2] else "expected '^' after y" if head[1]
                    else "the equation must start with y^N")
-        _fail(text, message, head.end())
+        raise EquationSyntaxError(message, head.end())
     if len(head[3]) > limit:
-        _fail_long(text, head, 3, limit)
+        raise InputTooLargeError(f"a numeral has more than {limit} digits", head.start(3))
     n = int(head[3])
     if n < 2:
-        _fail(text, f"the exponent must be at least 2, got {n}", head.start(3))
+        raise EquationSyntaxError(f"the exponent must be at least 2, got {n}", head.start(3))
     if head[4] is None:
-        _fail(text, "expected '='", head.end())
+        raise EquationSyntaxError("expected '='", head.end())
     terms = []
     cap = len(str(MAX_DEGREE))
     pos, end = head.end(), len(text)
@@ -125,39 +116,39 @@ def parse_equation(text: str):
         term = _TERM.match(text, pos)
         sign, numeral, slash, denominator, star, name, caret, exponent = term.groups()
         if terms and not sign:
-            _fail(text, f"expected '+' or '-', got {numeral or text[pos]!r}", pos)
+            raise EquationSyntaxError(f"expected '+' or '-', got {numeral or text[pos]!r}", pos)
         if numeral is not None:
             if len(numeral) > limit:
-                _fail_long(text, term, 2, limit)
+                raise InputTooLargeError(f"a numeral has more than {limit} digits", term.start(2))
             if slash is None:
                 coeff = Fraction(int(sign + numeral))
             else:
                 if denominator is None:
-                    _fail(text, "expected a denominator", term.end(3))
+                    raise EquationSyntaxError("expected a denominator", term.end(3))
                 if len(denominator) > limit:
-                    _fail_long(text, term, 4, limit)
+                    raise InputTooLargeError(f"a numeral has more than {limit} digits", term.start(4))
                 if not int(denominator):
-                    _fail(text, "zero denominator", term.start(4))
+                    raise EquationSyntaxError("zero denominator", term.start(4))
                 coeff = Fraction(int(sign + numeral), int(denominator))
         elif name is None:
-            _fail(text, "expected a term", term.end())
+            raise EquationSyntaxError("expected a term", term.end())
         else:
             coeff = Fraction(-1 if sign == "-" else 1)
         if name is None:
             if star is not None:
-                _fail(text, "expected x", term.end(5))
+                raise EquationSyntaxError("expected x", term.end(5))
             e = 0
         elif name == "y":
-            _fail(text, "only x may appear on the right side", term.start(6))
+            raise EquationSyntaxError("only x may appear on the right side", term.start(6))
         elif exponent is not None:
             # compared as text first: int() refuses numerals of over 4300 digits
             e = int(exponent) if len(exponent) <= cap else MAX_DEGREE + 1
             if e > MAX_DEGREE:
-                _fail(text, f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", term.end(7), InputTooLargeError)
+                raise InputTooLargeError(f"the exponent exceeds MAX_DEGREE = {MAX_DEGREE}", term.end(7))
         elif caret is None:
             e = 1
         else:
-            _fail(text, "expected an exponent", term.end(7))
+            raise EquationSyntaxError("expected an exponent", term.end(7))
         terms.append((coeff, e))
         pos = term.end()
         if pos == end:

@@ -29,7 +29,7 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-#: Largest prime the default trial-division pass will strip.
+#: Largest prime the trial-division pass strips.
 DEFAULT_FACTOR_BOUND = 10**6
 
 #: Longest cofactor (in bits) that the Miller-Rabin pass is asked to test.

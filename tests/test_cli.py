@@ -168,6 +168,33 @@ def test_roundtrip_random_count_is_capped(capsys, monkeypatch):
     assert code == 0 and doc["total"] == doc["passed"] == MAX_RANDOM
 
 
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "no_json"])
+def test_roundtrip_random_lists_each_failure(capsys, monkeypatch, as_json):
+    # the verifier fails the second drawn tuple and passes the rest; the run still exits 0
+    drawn = []
+
+    def verify(a, n, delta):
+        drawn.append(a)
+        if len(drawn) == 2:
+            return types.SimpleNamespace(status="fail", reason="stub: the second tuple fails")
+        return types.SimpleNamespace(status="pass", reason=None)
+
+    monkeypatch.setattr("superelliptic.cli.roundtrip_verify", verify)
+    argv = ["roundtrip", "--random", "3", "--seed", "5", *(() if as_json else ("--no-json",))]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(drawn) == 3 and all(type(v) is Fraction for v in drawn[1])
+    failure = {"index": 1, "a": [str(v) for v in drawn[1]], "reason": "stub: the second tuple fails"}
+    doc = json.loads(out) if as_json else read_listing(out)
+    if as_json:
+        assert (doc["total"], doc["passed"], doc["skipped"], doc["failed"]) == (3, 2, 0, 1)
+        assert doc["failures"] == [failure]
+    else:
+        assert (doc["total"], doc["passed"], doc["skipped"], doc["failed"]) == ("3", "2", "0", "1")
+        assert doc["failures"] == [as_listed(failure)]
+        assert "failures:\n  - index: 1\n    a:\n      - " in out
+
+
 def test_syntax_error_reports_position(capsys):
     # a superscript digit is not a numeral: int() would refuse it with no position
     for command, text, position in [("invariants", "y^2 = x^4 + z", 12), ("classify", "y^2 = x^6 + 3x^\u00b2+1", 15)]:
@@ -949,3 +976,72 @@ def test_any_stdin_json_ends_in_one_structured_document(command, document):
     doc = json.loads(out.getvalue())
     assert doc["schema_version"] == "1" and doc["command"] == command
     assert (code == 1) == ("error" in doc)
+
+
+small_rationals = st.builds(lambda p, q: str(Fraction(p, q)), st.integers(-9, 9), st.integers(1, 5))
+small_tuples = st.lists(small_rationals, max_size=6).map(",".join)
+#: Mostly the values a run accepts, and now and then one it refuses.
+small_numbers = (st.integers(2, 4) | st.integers(-1, 6)).map(str)
+
+
+@st.composite
+def small_equations(draw):
+    """``y^N = f(x)``: f of degree at most 14 with coefficients and exponents drawn, never typed.
+
+    Half the time f is the normal form ``x^(delta(s+1)) + a_s x^(delta s) + ... + a_1 x^delta + 1``.
+    """
+    if draw(st.booleans()):
+        delta = draw(st.integers(2, 3))
+        exponents = range(0, delta * (draw(st.integers(1, 14 // delta - 1)) + 1) + 1, delta)
+        terms = [(1 if e in (0, exponents[-1]) else draw(st.integers(-9, 9)), e) for e in reversed(exponents)]
+    else:
+        terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 14)), max_size=6))
+    body = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x^{e}" for c, e in terms).removeprefix("+ ")
+    return f"y^{draw(small_numbers)} = {body}"
+
+
+@st.composite
+def small_argv(draw):
+    """argv for one subcommand: small values, and now and then a flag left out or an unknown one added."""
+    flags = {
+        "invariants": {"source": small_equations(), "--delta": small_numbers},
+        "classify": {"source": small_equations(), "--delta": small_numbers},
+        "genus": {"--n": small_numbers, "--d": st.integers(-1, 14).map(str)},
+        "field": {"--invariants": small_tuples, "--n": small_numbers, "--delta": small_numbers},
+        "reconstruct": {"--invariants": small_tuples, "--n": small_numbers, "--delta": small_numbers,
+                        "--root": st.sampled_from(["plus", "minus", "plus", "minus", "best"])},
+        "roundtrip": {"--a": small_tuples, "--random": st.integers(-1, 3).map(str), "--seed": small_numbers,
+                      "--n": small_numbers, "--delta": small_numbers},
+    }
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values in flags[command].items():
+        if draw(st.integers(0, 9)):
+            value = draw(values)
+            argv += [value] if flag == "source" else [f"{flag}={value}"]
+    if not draw(st.integers(0, 19)):
+        argv.append("--unknown")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_argv())
+def test_small_argv_for_every_subcommand_ends_in_one_json_document(argv):
+    """Bounded fuzz: small drawn inputs exit 0, 1 or 2 with one JSON document, each within 2 s.
+
+    Degrees, exponents and tuple lengths are drawn small, so the input classes
+    that still have no time bound (a dense f of high degree) are out of reach.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2, argv
+    assert code in (0, 1, 2), argv
+    # a usage error (exit 2) writes its document on stderr; every other run writes it on stdout
+    written, silent = (err, out) if code == 2 else (out, err)
+    assert silent.getvalue() == "", argv
+    doc = json.loads(written.getvalue())
+    assert doc["schema_version"] == "1", argv
+    assert doc["command"] == ("usage" if code == 2 else argv[0]), argv
+    assert (code == 0) == ("error" not in doc), argv

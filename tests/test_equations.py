@@ -147,17 +147,39 @@ def test_a_term_for_every_exponent_parses_in_linear_time():
 
 
 FUZZ_ALPHABET = "xy0123456789^=+-*/ ~\t\u00b2\u0663"
+#: Pieces of the grammar, so that a text gets far into it before a stray character.
+GRAMMAR_PIECES = ["y", "x", "^", "=", "+", "-", "*", "/", " ", "\t", "\xa0", "0", "2", "12", "x^6", "1/2", "10001"]
 
 
-@settings(max_examples=300)
-@given(st.sampled_from(["", "y^", "y^2 = ", "y^2 = x^"]), st.one_of(st.text(), st.text(alphabet=FUZZ_ALPHABET)))
+def first_stray(text):
+    """Where the first character outside the grammar is in ``text``, or None."""
+    return next((i for i, c in enumerate(text) if not c.isspace() and c not in "0123456789xy^=+*/-"), None)
+
+
+@settings(max_examples=500)
+@given(
+    st.sampled_from(["", "y^", "y^2 = ", "y^2 = x^", "y^3 = x^7 + "]),
+    st.one_of(
+        st.text(),
+        st.text(alphabet=FUZZ_ALPHABET),
+        st.lists(st.sampled_from([*GRAMMAR_PIECES, *GRAMMAR_PIECES, *"~z\u00b2\u0663"]), max_size=12).map("".join),
+    ),
+)
 def test_any_text_parses_or_raises_a_positioned_syntax_error(prefix, tail):
+    """A character outside the grammar is reported first, wherever it is; any other error lies inside the text."""
     text = prefix + tail
+    stray = first_stray(text)
     try:
         n, f = parse_equation(text)
     except EquationSyntaxError as exc:
         assert 0 <= exc.position <= len(text)
+        if stray is None:
+            assert "unexpected character" not in str(exc)
+        else:
+            assert type(exc) is EquationSyntaxError
+            assert str(exc) == f"unexpected character {text[stray]!r} (at position {stray})"
     else:
+        assert stray is None
         assert type(n) is int and isinstance(f, Poly)
 
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -619,6 +620,7 @@ def test_quadext_equality_and_hash_match_rationals():
     assert QuadExt(Fraction(1, 3), 0, 5) == Fraction(1, 3)
     assert hash(QuadExt(7, 0, 5)) == hash(7)
     assert QuadExt(7, 1, 5) != 7
+    assert (QuadExt(1, 1, 2) == "x") is False
 
 
 def test_quadext_has_no_float_embedding():
@@ -626,6 +628,12 @@ def test_quadext_has_no_float_embedding():
         float(QuadExt(1, 1, 2))
     with pytest.raises(TypeError):
         complex(QuadExt(1, 1, -1))
+    # no float enters a result: a float operand is refused on either side, and as an exponent
+    x = QuadExt(1, 1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        for left, right in [(x, 1.5), (1.5, x)]:
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 def test_quadext_str_forms():

@@ -29,8 +29,28 @@ def test_construction_trims_and_normalizes():
     assert Poly([0, 0]).is_zero()
     assert Poly.zero().degree == -1
     assert Poly.from_terms([(1, 4), (2, 0), (1, 4)]) == Poly([2, 0, 0, 0, 2])
+    assert Poly.from_terms([]).is_zero()
     with pytest.raises(ValueError):
         Poly.from_terms([(1, -1)])
+
+
+def test_refusals_and_edges_of_the_accessors():
+    # a Poly combines only with a Poly: a plain number is refused on either side
+    for operand in (1, Fraction(1, 2), 1.5):
+        with pytest.raises(TypeError):
+            Poly([1]) + operand
+        with pytest.raises(TypeError):
+            Poly([1]) * operand
+        with pytest.raises(TypeError):
+            operand * Poly([1])
+    with pytest.raises(ValueError, match="the zero polynomial has no leading coefficient"):
+        Poly.zero().leading_coefficient()
+    p = Poly([3, 0, Fraction(1, 2)])
+    assert p.leading_coefficient() == Fraction(1, 2)
+    assert p.coefficient(-1) == p.coefficient(3) == p.coefficient(1) == 0
+    assert type(p.coefficient(-1)) is Fraction and p.coefficient(0) == 3
+    assert repr(p) == "Poly([Fraction(3, 1), Fraction(0, 1), Fraction(1, 2)])"
+    assert repr(Poly.zero()) == "Poly([])"
 
 
 def test_evaluation_and_str():
