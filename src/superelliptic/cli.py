@@ -57,7 +57,7 @@ from .dihedral import (
 )
 from .equations import (MAX_DEGREE, EquationSyntaxError, InputTooLargeError, _digit_limit, parse_equation,
                         render_equation)
-from .exact import FactorBoundExceededError, QuadExt
+from .exact import FactorBoundExceededError, QuadExt, _sized_text
 
 SCHEMA_VERSION = "1"
 
@@ -352,7 +352,9 @@ def _check_rebuilt_degree(delta: int, s: int) -> None:
     """Refuse an s-tuple whose rebuilt equation, of degree delta*(s+1), is above MAX_DEGREE."""
     degree = delta * (s + 1)
     if degree > MAX_DEGREE:
-        raise ValueError(f"the rebuilt equation would have degree {degree}, above MAX_DEGREE = {MAX_DEGREE}")
+        raise ValueError(
+            f"the rebuilt equation would have degree {_sized_text(degree)}, above MAX_DEGREE = {MAX_DEGREE}"
+        )
 
 
 def _cmd_reconstruct(inputs: dict) -> dict:

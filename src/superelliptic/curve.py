@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import rational_nth_root
+from .exact import _sized_text, rational_nth_root
 from .poly import Poly, delta_support, discriminant
 
 G_DELTA = "GDelta"
@@ -160,7 +160,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
             return NormalForm(
                 kind=None,
                 diagnostic=(
-                    f"leading coefficient {lc} needs an irrational rescale to reach "
+                    f"leading coefficient {_sized_text(lc)} needs an irrational rescale to reach "
                     "the monic normal form; supply the curve rescaled by hand"
                 ),
             )
@@ -169,7 +169,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
             return NormalForm(
                 kind=None,
                 diagnostic=(
-                    f"constant term {f.coefficient(0)} != 1; the g(x^delta) normal form "
+                    f"constant term {_sized_text(f.coefficient(0))} != 1; the g(x^delta) normal form "
                     "pins it to 1 and no x-rescale can change it"
                 ),
             )
@@ -182,7 +182,7 @@ def classify_normal_form(curve: SuperellipticCurve, delta: int | None = None) ->
             kind=None,
             diagnostic=(
                 "the x*g(x^delta) form needs leading coefficient 1 and coefficient 1 on x; "
-                f"got {f.leading_coefficient()} and {f.coefficient(1)}"
+                f"got {_sized_text(f.leading_coefficient())} and {_sized_text(f.coefficient(1))}"
             ),
         )
     a = tuple(f.coefficient(best.delta * i + 1) for i in range(1, best.s))

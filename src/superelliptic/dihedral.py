@@ -51,20 +51,21 @@ An alternative closed form for c_i that circulates,
 is wrong: for a = (2, 1) it yields 144/65 where the true coefficient is
 a_1*a_s = 2.  The roundtrip test suite adjudicates this; see README.
 
-The invariants, their discriminant, the root split and the certificate run
-on integers, each term read off its own operands' numerators and
-denominators with one Fraction per result: only single values are raised
-to powers, never a denominator common to the whole tuple, whose powers
-would outgrow the results on long tuples.  ``compute_invariants`` and
-``ReconstructedCurve._invariant_pairs`` share one loop, ``_term_pairs``.
-Fractions are canonical, so the results are exactly those of the formulas
-evaluated on Fractions.  The discriminant is computed once per tuple.
-``roundtrip_verify`` checks by cross-multiplication and builds a Fraction
-only for a failure message: each rebuilt coefficient against a_i * a_s**i
-from a_i's own numerator and denominator and running powers of a_s's, each
-certificate value against s_i through the unreduced pairs of
-``ReconstructedCurve._invariant_pairs``.  The certificate over Q(sqrt(d))
-stays QuadExt arithmetic.
+The invariants, their discriminant and the root split run on integers,
+each term read off its own operands' numerators and denominators with one
+Fraction per result: only single values are raised to powers, never a
+denominator common to the whole tuple, whose powers would outgrow the
+results on long tuples.  Fractions are canonical, so the results are
+exactly those of the formulas evaluated on Fractions.  The discriminant is
+computed once per tuple.  The certificate
+``ReconstructedCurve.invariant_values`` is one formula on the rebuilt
+coefficients, Fractions or QuadExt elements alike.  ``roundtrip_verify``
+checks by cross-multiplication and builds a Fraction only for a failure
+message: each rebuilt coefficient against a_i * a_s**i from a_i's own
+numerator and denominator and running powers of a_s's, each certificate
+value against s_i through the unreduced integer pairs of
+``ReconstructedCurve._invariant_pairs``, which share the loop
+``_term_pairs`` with ``compute_invariants``.
 """
 
 from __future__ import annotations
@@ -317,12 +318,9 @@ class ReconstructedCurve:
 
     def polynomial(self) -> Poly:
         """The right-hand side as a polynomial (over Q or Q(sqrt(d)))."""
+        lead = self.leading_coefficient
         coeffs = [Fraction(0)] * (self.delta * (self.s + 1) + 1)
-        coeffs[0] = Fraction(1)
-        for i, c in enumerate(self.interior_coefficients, start=1):
-            coeffs[self.delta * i] = c
-        coeffs[self.delta * self.s] = self.leading_coefficient
-        coeffs[self.delta * (self.s + 1)] = self.leading_coefficient
+        coeffs[:: self.delta] = (Fraction(1), *self.interior_coefficients, lead, lead)
         return Poly(coeffs)
 
     def invariant_values(self) -> tuple:
@@ -339,18 +337,14 @@ class ReconstructedCurve:
         rebuilt from, whichever root it used.  ``reconstruct`` gives L = 0
         only when s_s = 0, and then every c_i is 0 too: the equation is
         y**n = 1, which determines no invariants.  L = 0 raises ValueError.
-        Over Q each value is the Fraction of its pair from ``_invariant_pairs``;
-        over Q(sqrt(d)) the formula runs on QuadExt elements.
         """
         lead = self.leading_coefficient
         if lead == 0:
             raise ValueError("leading coefficient 0: the rebuilt equation y^n = 1 determines no invariants")
         c = (*self.interior_coefficients, lead)
-        if any(isinstance(x, QuadExt) for x in c):
-            s = self.s
-            inverse = 1 / lead
-            return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
-        return tuple([Fraction(num, den) for num, den in self._invariant_pairs()])
+        s = self.s
+        inverse = 1 / lead
+        return tuple(c[0] ** (s + 1 - i) * c[i - 1] * inverse + c[s - i] for i in range(1, s + 1))
 
     def _invariant_pairs(self) -> tuple:
         """``(numerator, denominator)`` of each s_i of ``invariant_values``, for rational L != 0.
@@ -362,7 +356,8 @@ class ReconstructedCurve:
             s_i = (p_1**k * (p_i*q_L) * q_k + q_1**k * p_k * (q_i*p_L)) / (q_1**k * (q_i*p_L) * q_k).
 
         The pairs are not reduced, and a denominator is negative when L is:
-        ``roundtrip_verify`` compares them by cross-multiplication.
+        ``roundtrip_verify``, their only caller, compares them by
+        cross-multiplication.
         """
         c = (*self.interior_coefficients, self.leading_coefficient)
         pairs = [(x.numerator, x.denominator) for x in c]

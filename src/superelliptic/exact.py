@@ -75,6 +75,20 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _sized_text(x) -> str:
+    """``str(x)`` of an int or Fraction, or its size when a part of it is too long to write.
+
+    ``str()`` refuses an integer of more than ``sys.get_int_max_str_digits()``
+    digits; such a value is named by its length in bits instead, so a
+    message that quotes it still reads, and echoes no digits.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        num, den = abs(x.numerator).bit_length(), x.denominator.bit_length()
+        return f"(a {num}-bit integer)" if den == 1 else f"(a ratio of a {num}-bit and a {den}-bit integer)"
+
+
 def _is_probable_prime(n: int) -> bool:
     # Miller-Rabin to the 13 ``_BASES``: a proof of primality for
     # n < _PSI13 = 3317044064679887385961981 (~81 bits), the least strong

@@ -13,12 +13,12 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superelliptic
 from superelliptic.cli import MAX_RANDOM, _build_parser, _render, _write_json, main
-from superelliptic.equations import MAX_DEGREE
+from superelliptic.equations import MAX_DEGREE, _digit_limit
 from superelliptic.exact import QuadExt
 from test_cli_golden import CASES, run_case
 
@@ -982,18 +982,25 @@ small_rationals = st.builds(lambda p, q: str(Fraction(p, q)), st.integers(-9, 9)
 small_tuples = st.lists(small_rationals, max_size=6).map(",".join)
 #: Mostly the values a run accepts, and now and then one it refuses.
 small_numbers = (st.integers(2, 4) | st.integers(-1, 6)).map(str)
+#: A numeral of the most digits an input may have: a sum of two, or delta*(s+1) with it as
+#: delta, is too long to write under CPython's default limit on integer string conversion.
+LONG_NUMERAL = "9" * _digit_limit()
 
 
 @st.composite
 def small_equations(draw):
     """``y^N = f(x)``: f of degree at most 14 with coefficients and exponents drawn, never typed.
 
-    Half the time f is the normal form ``x^(delta(s+1)) + a_s x^(delta s) + ... + a_1 x^delta + 1``.
+    Half the time f is the normal form ``x^(delta(s+1)) + a_s x^(delta s) + ... + a_1 x^delta + 1``,
+    and now and then ``LONG_NUMERAL`` is added twice at its leading exponent, constant term or x term.
     """
     if draw(st.booleans()):
         delta = draw(st.integers(2, 3))
         exponents = range(0, delta * (draw(st.integers(1, 14 // delta - 1)) + 1) + 1, delta)
         terms = [(1 if e in (0, exponents[-1]) else draw(st.integers(-9, 9)), e) for e in reversed(exponents)]
+        if not draw(st.integers(0, 4)):
+            # sparse f only: on a dense f of degree 14 such a coefficient takes the discriminant over 2 s
+            terms += [(int(LONG_NUMERAL), draw(st.sampled_from([exponents[-1], 0, 1])))] * 2
     else:
         terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 14)), max_size=6))
     body = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x^{e}" for c, e in terms).removeprefix("+ ")
@@ -1002,7 +1009,10 @@ def small_equations(draw):
 
 @st.composite
 def small_argv(draw):
-    """argv for one subcommand: small values, and now and then a flag left out or an unknown one added."""
+    """argv for one subcommand: small values, and now and then a flag left out or an unknown one added.
+
+    Now and then ``--delta`` or ``--n`` is ``LONG_NUMERAL``.
+    """
     flags = {
         "invariants": {"source": small_equations(), "--delta": small_numbers},
         "classify": {"source": small_equations(), "--delta": small_numbers},
@@ -1017,6 +1027,8 @@ def small_argv(draw):
     argv = [command]
     for flag, values in flags[command].items():
         if draw(st.integers(0, 9)):
+            if flag in ("--delta", "--n") and not draw(st.integers(0, 9)):
+                values = st.just(LONG_NUMERAL)
             value = draw(values)
             argv += [value] if flag == "source" else [f"{flag}={value}"]
     if not draw(st.integers(0, 19)):
@@ -1026,11 +1038,15 @@ def small_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_argv())
+@example(["classify", f"y^2 = {LONG_NUMERAL}*x^6 + {LONG_NUMERAL}*x^6 + x^4 + x^2 + 1"])
+@example(["roundtrip", "--a=2,1", f"--delta={LONG_NUMERAL}"])
 def test_small_argv_for_every_subcommand_ends_in_one_json_document(argv):
     """Bounded fuzz: small drawn inputs exit 0, 1 or 2 with one JSON document, each within 2 s.
 
     Degrees, exponents and tuple lengths are drawn small, so the input classes
     that still have no time bound (a dense f of high degree) are out of reach.
+    A value too long to write, such as a sum of two numerals at the digit
+    limit, is named by its size, never by CPython's conversion error.
     """
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -1045,3 +1061,4 @@ def test_small_argv_for_every_subcommand_ends_in_one_json_document(argv):
     assert doc["schema_version"] == "1", argv
     assert doc["command"] == ("usage" if code == 2 else argv[0]), argv
     assert (code == 0) == ("error" not in doc), argv
+    assert not re.search("Exceeds the limit|set_int_max_str_digits", written.getvalue()), argv

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 import types
 from fractions import Fraction
@@ -128,6 +129,30 @@ def test_classify_refuses_bad_constant():
     nf = classify_normal_form(validate(2, Poly([2, 0, 3, 0, 2, 0, 1])))
     assert nf.kind is None
     assert "constant term" in nf.diagnostic
+
+
+def test_classify_names_a_coefficient_too_long_to_write_by_its_size():
+    # every numeral of an equation fits the interpreter's limit on writing an integer; a sum of two need not
+    big = 2 * (10**4300 - 1)
+    cases = [
+        (2, Poly([1, 0, 1, 0, 1, 0, big]), "leading coefficient {} needs an irrational rescale"),
+        (2, Poly([1, 0, 1, 0, 1, 0, Fraction(1, big)]), "leading coefficient {} needs an irrational rescale"),
+        (2, Poly([big, 0, 1, 0, 1, 0, 1]), "constant term {} != 1;"),
+        (3, Poly([0, 1, 0, 0, 5, 0, 0, big]), "coefficient 1 on x; got {} and 1"),
+        (3, Poly([0, big, 0, 0, 5, 0, 0, 1]), "coefficient 1 on x; got 1 and {}"),
+    ]
+    sized = f"(a {big.bit_length()}-bit integer)", f"(a ratio of a 1-bit and a {big.bit_length()}-bit integer)"
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 0):  # CPython's default, and no limit
+            sys.set_int_max_str_digits(limit)
+            whole, ratio = sized if limit else (str(big), f"1/{big}")
+            for n, f, diagnostic in cases:
+                value = ratio if f.leading_coefficient().denominator != 1 else whole
+                nf = classify_normal_form(validate(n, f))
+                assert nf.kind is None and diagnostic.format(value) in nf.diagnostic
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_classify_delta_override():

@@ -173,6 +173,17 @@ def test_reconstruct_worked_examples():
     assert rec.leading_coefficient == 27
     assert rec.interior_coefficients == (Fraction(0),)
 
+    # delta = 3: the vector [1, c_1, ..., c_(s-1), L, L] at every third exponent
+    rec = reconstruct(compute_invariants([2, 5, 1], 2, 3), "minus")
+    assert rec.polynomial() == Poly([1, 0, 0, 2, 0, 0, 5, 0, 0, 1, 0, 0, 1])
+    rec = reconstruct(DihedralInvariants((Fraction(1), Fraction(1)), 2, 3), "minus")
+    poly = rec.polynomial()
+    assert isinstance(rec.leading_coefficient, QuadExt) and poly.degree == 9
+    assert poly.coefficient(6) == poly.coefficient(9) == rec.leading_coefficient
+    # an interior tuple of other than s - 1 entries has no place in the vector
+    with pytest.raises(ValueError):
+        dataclasses.replace(rec, interior_coefficients=()).polynomial()
+
     with pytest.raises(DegenerateLocusError):
         reconstruct(compute_invariants([1, 1], 2, 2))
     with pytest.raises(ValueError):
