@@ -18,9 +18,11 @@ flag wins, then the stdin JSON value where the positional ``-`` is accepted,
 then the default), hands them to the subcommand and echoes them as
 ``inputs``, in the table's key order.  A rational is a JSON integer or
 ``[+-]digits[/digits]`` text, an integer flag is ``[+-]digits``, and digits
-are ASCII ``0-9`` (no exponents or decimals).  On every route, a numeral of
-more than 4300 digits, or of more than the interpreter's integer conversion
-limit when that is lower, is refused by its length before it is converted.
+are ASCII ``0-9`` (no exponents or decimals).  A list of rationals, as text
+or as a stdin list, has every entry read, so ``1,,1`` is refused.  On every
+route, a numeral of more than 4300 digits, or of more than the interpreter's
+integer conversion limit when that is lower, is refused by its length before
+it is converted.
 ``reconstruct`` and ``roundtrip --a`` refuse a rebuilt degree ``delta*(s+1)``
 above ``MAX_DEGREE``, and ``roundtrip --random N`` an ``N`` above ``MAX_RANDOM``.
 Every document, errors included, carries ``schema_version`` and ``command``.
@@ -273,11 +275,8 @@ def _parse_rational(value) -> Fraction:
 
 
 def _parse_rational_list(value) -> list[Fraction]:
-    if isinstance(value, str):
-        parts = [piece for piece in value.split(",") if piece.strip()]
-    else:
-        parts = list(value)
-    if not parts:
+    parts = value.split(",") if isinstance(value, str) else value
+    if all(isinstance(piece, str) and not piece.strip() for piece in parts):
         raise ValueError("expected a nonempty comma-separated list of rationals")
     return [_parse_rational(piece) for piece in parts]
 

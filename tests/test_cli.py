@@ -872,8 +872,12 @@ def test_outside_numerals_are_refused_quickly(capsys, argv, code):
         (("roundtrip", "--random", "0"), "positive count"),
         (("roundtrip",), "no tuple given"),
         (("field", "--invariants", ","), "nonempty comma-separated list"),
+        (("field", "--invariants", "1,,1"), "not an exact rational: ''"),
+        (("roundtrip", "--a", "2,1,"), "not an exact rational: ''"),
+        (("reconstruct", "--invariants", ",9,4"), "not an exact rational: ''"),
     ],
-    ids=["tuple_and_random", "zero_random", "no_tuple", "empty_invariants"],
+    ids=["tuple_and_random", "zero_random", "no_tuple", "empty_invariants", "inner_empty_entry",
+         "trailing_empty_entry", "leading_empty_entry"],
 )
 def test_argument_refusals_are_input_errors(capsys, argv, fragment):
     code, doc, err = run_json(capsys, *argv)
@@ -1062,3 +1066,12 @@ def test_small_argv_for_every_subcommand_ends_in_one_json_document(argv):
     assert doc["command"] == ("usage" if code == 2 else argv[0]), argv
     assert (code == 0) == ("error" not in doc), argv
     assert not re.search("Exceeds the limit|set_int_max_str_digits", written.getvalue()), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["", " "]) | small_rationals, max_size=5))
+@example(["1", "", "1"])
+def test_a_text_list_reads_every_entry_as_the_stdin_list_does(entries):
+    """``--invariants`` text is read as the list of its comma-separated entries: the same exit and document."""
+    from_text = run_case(["field", "--invariants", ",".join(entries)], None)
+    assert run_case(["field", "-"], {"invariants": entries}) == from_text
