@@ -60,8 +60,9 @@ exactly those of the formulas evaluated on Fractions.  The discriminant is
 computed once per tuple.  The certificate
 ``ReconstructedCurve.invariant_values`` is one formula on the rebuilt
 coefficients, Fractions or QuadExt elements alike.  ``roundtrip_verify``
-checks by cross-multiplication and builds a Fraction only for a failure
-message: each rebuilt coefficient against a_i * a_s**i from a_i's own
+first compares both roots with the Fraction a_s**(s+1); its other checks
+cross-multiply integers and build a Fraction only for a failure message:
+each rebuilt coefficient against a_i * a_s**i from a_i's own
 numerator and denominator and running powers of a_s's, each certificate
 value against s_i through the unreduced integer pairs of
 ``ReconstructedCurve._invariant_pairs``, which share the loop
@@ -414,8 +415,8 @@ def roundtrip_verify(a, n: int, delta: int) -> RoundtripReport:
     is a fail.  Tuples on the degenerate locus are reported as skipped, not
     failed, since reconstruction is undefined there.  A forward tuple's
     discriminant is 2**(2s+2) * (a_1**(s+1) - a_s**(s+1))**2, a rational
-    square, so the rebuilt equation is rational and every check compares
-    integers by cross-multiplication (module docstring).
+    square, so the rebuilt equation is rational; past the roots, compared as
+    Fractions, every check cross-multiplies integers (module docstring).
     """
     a = tuple([_exact(v) for v in a])
     inv = compute_invariants(a, n, delta)

@@ -218,16 +218,12 @@ def _segment_chunks(k: int) -> tuple[int, ...]:
 def _residue(chunks: tuple[int, ...], n: int, powers: list[int]) -> int:
     """A nonnegative number congruent mod n to the product cut into ``chunks``, so with the same gcd with n.
 
-    A product no longer than 2*len(n) + 8192 bits is given whole, a longer one as sum(c_i * (2**(W*i) mod n))
-    with W = ``_CHUNK_BITS``: at most len(n) + W + 5 bits for its up to 20 chunks.  ``powers[i]`` holds
-    2**(W*i) mod n for this n only: start it as [1]; it grows by one multiplication mod n per new index.
+    It is sum(c_i * (2**(W*i) mod n)) with W = ``_CHUNK_BITS``, at most len(n) + W + 5 bits for up to 20 chunks,
+    and the product itself when that is below n.  ``powers[i]`` holds 2**(W*i) mod n for this n only:
+    start it as [1]; its first new entry is 2**W mod n and each later one powers[-1] * powers[1] mod n.
     """
-    if _CHUNK_BITS * (len(chunks) - 1) + chunks[-1].bit_length() <= 2 * n.bit_length() + 8192:
-        return functools.reduce(lambda high, low: high << _CHUNK_BITS | low, reversed(chunks))
     while len(powers) < len(chunks):
-        # times 2**W mod n for an n shorter than a chunk; a shift by W bits costs less for a longer n (and gives 2**W)
-        short = len(powers) > 1 and n.bit_length() <= _CHUNK_BITS
-        powers.append((powers[-1] * powers[1] if short else powers[-1] << _CHUNK_BITS) % n)
+        powers.append(powers[-1] * (powers[1] if len(powers) > 1 else 1 << _CHUNK_BITS) % n)
     return sum(map(operator.mul, chunks, powers))
 
 
@@ -240,17 +236,16 @@ def squarefree_decompose(x) -> SquarefreeDecomposition:
     tail up to the bound.  One gcd of what is left against the product of a
     segment's primes finds all of them that divide it, and a chain of gcds
     then reads off their exponents.  Each product is kept as 6144-bit
-    chunks; one longer than twice what is left plus 8192 bits is first
-    reduced to a number congruent to it mod what is left by one
-    multiply-accumulate (:func:`_residue`), which gives the same gcd at a
-    fraction of the cost of long division; segments 0 and 1 are never that
-    long.  The walk stops early once the next segment starts above the
-    square root of what is left.  It also stops after segment 0, or after a
-    segment that divided something out, when what is left lies below
-    ``_PSI13`` (~81 bits) and passes the 13-base Miller-Rabin test, which
-    there proves it prime.  Each segment's chunks are built on first use,
-    from a sieve of the segment's own range, and kept (~200 KB for all 19);
-    nothing is built at import.
+    chunks and is first reduced to a number congruent to it mod what is
+    left by one multiply-accumulate (:func:`_residue`), which gives the
+    same gcd at a fraction of the cost of long division; a product below
+    what is left comes back whole.  The walk stops early once the
+    next segment starts above the square root of what is left.  It also
+    stops after segment 0, or after a segment that divided something out,
+    when what is left lies below ``_PSI13`` (~81 bits) and passes the
+    13-base Miller-Rabin test, which there proves it prime.  Each segment's
+    chunks are built on first use, from a sieve of the segment's own range,
+    and kept (~200 KB for all 19); nothing is built at import.
 
     A cofactor with no factor up to the bound is still handled when it is a
     prime or the square of a prime.  Below ``_PSI13`` the 13-base

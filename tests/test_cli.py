@@ -559,6 +559,16 @@ def test_a_reader_that_closed_stdout_gets_exit_1_and_no_traceback(argv):
     assert (done.returncode, done.stderr) == (1, "")
 
 
+def test_a_stream_with_no_descriptor_whose_reader_is_gone_gets_exit_1(monkeypatch):
+    # in process: with no descriptor to point at devnull, main only returns 1
+    class GoneReader(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", GoneReader())
+    assert main(["genus", "--n", "3", "--d", "7"]) == 1
+
+
 #: Each subcommand's option strings, True where the flag is required.
 SUBCOMMAND_FLAGS = {
     "invariants": {"--delta": False},

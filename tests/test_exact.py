@@ -355,10 +355,10 @@ _residue = exact._residue  # the package's own, for residue() while a test patch
 def residue(chunks, n, powers):
     """exact._residue(chunks, n, powers), checked: nonnegative, congruent mod n, short, powers for this very n.
 
-    The product is given whole when it is no longer than 2*len(n) + 8192 bits; otherwise the result is at most
-    len(n) + W + bit_length(len(chunks)) bits, and ``powers`` grows to one entry per chunk if it was shorter.
-    ``powers`` must hold 2**(W*i) mod this very n; powers mod an earlier, larger n are still congruent mod its
-    divisor n, but they are as long as that n, and so is the result.
+    The result is at most len(n) + W + bit_length(len(chunks)) bits, the product itself when that is below n,
+    and ``powers`` grows to one entry per chunk if it was shorter.  ``powers`` must hold 2**(W*i) mod this
+    very n; powers mod an earlier, larger n are still congruent mod its divisor n, but they are as long as
+    that n, and so is the result.
     """
     width = exact._CHUNK_BITS
     assert powers == [pow(2, width * i, n) for i in range(len(powers))]
@@ -367,12 +367,10 @@ def residue(chunks, n, powers):
     product = joined(chunks)
     assert result >= 0
     assert (result - product) % n == 0
-    if product.bit_length() <= 2 * n.bit_length() + 8192:
+    if product < n:
         assert result == product
-        assert len(powers) == before
-    else:
-        assert result.bit_length() <= n.bit_length() + width + len(chunks).bit_length()
-        assert len(powers) == max(before, len(chunks))
+    assert result.bit_length() <= n.bit_length() + width + len(chunks).bit_length()
+    assert len(powers) == max(before, len(chunks))
     assert powers == [pow(2, width * i, n) for i in range(len(powers))]
     return result
 
@@ -388,7 +386,7 @@ LONGEST_PRODUCT_BITS = 118_300
     st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_fold_is_a_short_nonnegative_residue(n_bits, p_sizes, multiple, rng):
+def test_residue_is_a_short_nonnegative_residue(n_bits, p_sizes, multiple, rng):
     # one powers list shared by several products, as the segments of one walk share it; a negative
     # size stands for a segment product, and `multiple` makes each product a multiple of n
     n = rng.getrandbits(n_bits) | 1 << (n_bits - 1)
@@ -405,7 +403,7 @@ def test_fold_is_a_short_nonnegative_residue(n_bits, p_sizes, multiple, rng):
 @pytest.mark.parametrize("n_bits", [10_000, 10_240, 12_000, 16_384, 20_000, 30_000, 40_000, 60_000])
 def test_fold_ends_for_cofactors_of_10_to_60_kbit(n_bits):
     # every segment, and products of every length up to a little past the longest, each with a fresh powers list
-    # and with one shared by the whole walk, for n longer than a chunk, where powers grow by shifts
+    # and with one shared by the whole walk, for n longer than a chunk
     rng = random.Random(n_bits)
     longest = segment_product(len(exact._EDGES) - 2)
     for n in (rng.getrandbits(n_bits) | 1 << (n_bits - 1) | 1, 2**n_bits - 1, 2 ** (n_bits - 1) + 1):
@@ -499,7 +497,7 @@ def oracle_radicands():
     for _ in range(60):
         yield "at most 30 bits", Fraction(rng.randint(1, 2**30) * rng.choice([1, -1]), rng.randint(1, 2**15))
         yield "segment 0 only", Fraction(small() * rng.randint(1, 4095**2), rng.randint(1, 4095))
-        # the shortest cofactors that reach segments 2 and 3, the first long enough to be reduced
+        # the shortest cofactors that reach segments 2 and 3, the first products of more than one chunk
         p, q = sympy.nextprime(rng.randint(8192, 32_700)), sympy.nextprime(rng.randint(8192, 32_700))
         yield "27-30 bits, primes above 8192", Fraction(small() * p * q, rng.randint(1, 50))
     for bits in range(40, 601, 20):
@@ -520,7 +518,7 @@ def oracle_radicands():
     yield "as long as the products", Fraction(rough(rng, 95_000))
 
 
-def test_folded_walk_decides_as_the_plain_gcd_walk(monkeypatch):
+def test_reducing_walk_decides_as_the_plain_gcd_walk(monkeypatch):
     monkeypatch.setattr(exact, "_residue", residue)  # every reduction checked, on powers of the n it reduces by
     seen = Counter()
     for kind, x in oracle_radicands():

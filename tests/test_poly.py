@@ -51,6 +51,7 @@ def test_refusals_and_edges_of_the_accessors():
     assert type(p.coefficient(-1)) is Fraction and p.coefficient(0) == 3
     assert repr(p) == "Poly([Fraction(3, 1), Fraction(0, 1), Fraction(1, 2)])"
     assert repr(Poly.zero()) == "Poly([])"
+    assert Poly([1]) != (1,)  # __eq__ leaves a non-Poly to the other side, and the tuple says unequal
 
 
 def test_evaluation_and_str():
